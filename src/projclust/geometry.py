@@ -304,10 +304,9 @@ def _sq_dists_to_centers(pts, centers):
     return sq
 
 
-def _sq_dists_to_lines(pts, lineset):
-    n = pts.shape[0]
-    sq = np.empty((n, lineset.k))
-    for j, ln in enumerate(lineset.lines):
+def _sq_dists_to_lines(pts, lines):
+    sq = np.empty((pts.shape[0], len(lines)))
+    for j, ln in enumerate(lines):
         w = pts - ln.anchor
         along = w @ ln.direction
         sq[:, j] = np.sum(w * w, axis=1) - along * along
@@ -351,7 +350,7 @@ def distances(problem, data, solution):
         if not isinstance(solution, LineSet):
             raise ValueError("lines expects a LineSet")
         _check_dim(pts, solution.d)
-        return np.sqrt(np.min(_sq_dists_to_lines(pts, solution), axis=1))
+        return np.sqrt(np.min(_sq_dists_to_lines(pts, solution.lines), axis=1))
     raise ValueError(f"unknown problem {problem!r}; expected one of {PROBLEMS}")
 
 
@@ -371,7 +370,7 @@ def assignment(problem, data, solution):
         return np.argmin(_sq_dists_to_centers(pts, solution.centers), axis=1)
     if problem == "lines":
         _check_dim(pts, solution.d)
-        return np.argmin(_sq_dists_to_lines(pts, solution), axis=1)
+        return np.argmin(_sq_dists_to_lines(pts, solution.lines), axis=1)
     raise ValueError("assignment is defined for 'clustering' and 'lines' only")
 
 
@@ -452,10 +451,6 @@ def read_points(path):
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{path}: non-finite values")
     return out
-
-
-def write_dataset(path, data, comments=()):
-    write_points(path, data, comments)
 
 
 def read_dataset(path):

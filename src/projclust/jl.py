@@ -6,6 +6,8 @@ chi-square with t degrees of freedom divided by t, independent of v and of
 the ambient dimension d; the diagnostics in this module lean on that fact.
 """
 
+import math
+
 import numpy as np
 
 from . import geometry
@@ -64,6 +66,43 @@ def apply(pi, x):
     if arr.shape[-1] != pi.d:
         raise ValueError(f"input dimension {arr.shape[-1]} != map input dimension {pi.d}")
     return arr @ pi.matrix.T
+
+
+def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
+    """Suggested projection dimension for a (problem, k, z, eps) regime.
+
+    The value is clamped to [1, d]; ``const`` rescales the lead constant.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    geometry._check_z(z)
+    if problem == "clustering":
+        raw = (math.log(k) + z * math.log(1.0 / eps)) / eps ** 2
+        formula = "(ln k + z ln(1/eps)) / eps^2"
+    elif problem == "subspace":
+        if z == 2:
+            raw = k / eps ** 2
+            formula = "k / eps^2"
+        else:
+            raw = z * k ** 2 * (1.0 + math.log(k / eps)) ** 2 / eps ** 3
+            formula = "z k^2 (1 + ln(k/eps))^2 / eps^3"
+    elif problem == "flat":
+        if z == 2:
+            raw = (k + 1) / eps ** 2
+            formula = "(k+1) / eps^2"
+        else:
+            raw = z * (k + 1) ** 2 * (1.0 + math.log((k + 1) / eps)) ** 2 / eps ** 3
+            formula = "z (k+1)^2 (1 + ln((k+1)/eps))^2 / eps^3"
+    elif problem == "lines":
+        loglog = max(math.log(max(math.log(max(n, 2)), 1.0)), 0.0)
+        raw = (k * loglog + z + math.log(1.0 / eps)) / eps ** 3
+        formula = "(k lnln n + z + ln(1/eps)) / eps^3"
+    else:
+        raise ValueError(f"unknown problem: {problem!r}")
+    t = min(int(d), max(1, math.ceil(const * raw)))
+    if verbose:
+        print(f"preset t={t} from {formula} (const={const!r})")
+    return t
 
 
 def moment_ratio_samples(z, t, trials, seed):

@@ -15,6 +15,7 @@ is valid for comparing arbitrary candidate solutions of the same family.
 import numpy as np
 
 from . import geometry
+from .coreset import PeelingPartition
 from .geometry import (
     Dataset, CenterSet, Subspace, Flat, LineSet,
     project_subspace, project_flat, project_line,
@@ -65,6 +66,21 @@ class SensitivityProfile:
         return f"SensitivityProfile(n={self.n}, total={self.total:.6g})"
 
 
+def _profile(dist, z, tail):
+    """The shared profile shape  2^(z-1) * dist^z / cost + tail.
+
+    ``dist`` holds the distances to the reference solution and ``tail`` the
+    caller's per-point second term; the first term is dropped when the
+    reference cost is zero.
+    """
+    cost = float(np.sum(dist ** z))
+    sigma = np.zeros(dist.shape[0])
+    if cost > 0:
+        sigma += 2.0 ** (z - 1.0) * dist ** z / cost
+    sigma += tail
+    return SensitivityProfile(sigma)
+
+
 def clustering_sensitivity(data, centers, z):
     """Sensitivity against a fixed center set.
 
@@ -85,12 +101,7 @@ def clustering_sensitivity(data, centers, z):
     assign = geometry.assignment("clustering", pts, centers)
     dist = geometry.distances("clustering", pts, centers)
     sizes = np.bincount(assign, minlength=centers.k)
-    cost = float(np.sum(dist ** z))
-    sigma = np.zeros(pts.shape[0])
-    if cost > 0:
-        sigma += 2.0 ** (z - 1.0) * dist ** z / cost
-    sigma += 2.0 ** (2.0 * z - 1.0) / sizes[assign]
-    return SensitivityProfile(sigma)
+    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) / sizes[assign])
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +261,11 @@ def subspace_sensitivity(data, subspace, z):
     geometry._check_dim(pts, subspace.d)
     n = pts.shape[0]
     proj = project_subspace(pts, subspace)
-    dist = np.linalg.norm(pts - proj, axis=1)
-    cost = float(np.sum(dist ** z))
-    sigma = np.zeros(n)
-    if cost > 0:
-        sigma += 2.0 ** (z - 1.0) * dist ** z / cost
     if float(np.max(np.linalg.norm(proj, axis=1))) == 0.0:
         sup = np.full(n, 1.0 / n)
     else:
         sup = sup_ratios(proj, z)
-    sigma += 2.0 ** (2.0 * z - 1.0) * sup
-    return SensitivityProfile(sigma)
+    return _profile(np.linalg.norm(pts - proj, axis=1), z, 2.0 ** (2.0 * z - 1.0) * sup)
 
 
 def flat_sensitivity(data, flat, z):
@@ -278,14 +283,9 @@ def flat_sensitivity(data, flat, z):
     geometry._check_dim(pts, flat.d)
     n = pts.shape[0]
     proj = project_flat(pts, flat)
-    dist = np.linalg.norm(pts - proj, axis=1)
-    cost = float(np.sum(dist ** z))
-    sigma = np.zeros(n)
-    if cost > 0:
-        sigma += 2.0 ** (z - 1.0) * dist ** z / cost
     lifted = np.hstack([proj, np.ones((n, 1))])
-    sigma += 2.0 ** (2.0 * z - 1.0) * sup_ratios(lifted, z)
-    return SensitivityProfile(sigma)
+    return _profile(np.linalg.norm(pts - proj, axis=1), z,
+                    2.0 ** (2.0 * z - 1.0) * sup_ratios(lifted, z))
 
 
 def line_sensitivity(data, lines, z, peel):
@@ -305,32 +305,12 @@ def line_sensitivity(data, lines, z, peel):
     pts = geometry._points_of(data)
     geometry._check_dim(pts, lines.d)
     n = pts.shape[0]
-    layer = _layer_index(peel, n)
+    if not isinstance(peel, PeelingPartition):
+        peel = PeelingPartition(peel, n)
+    elif peel.n != n:
+        raise ValueError(f"peel partition covers {peel.n} points, data has {n}")
     dist = geometry.distances("lines", pts, lines)
-    cost = float(np.sum(dist ** z))
-    sigma = np.zeros(n)
-    if cost > 0:
-        sigma += 2.0 ** (z - 1.0) * dist ** z / cost
-    sigma += 2.0 ** (2.0 * z - 1.0) * PEEL_CONSTANT / layer
-    return SensitivityProfile(sigma)
-
-
-def _layer_index(peel, n):
-    """1-based layer number per point from a peeling partition."""
-    layers = peel.layers if hasattr(peel, "layers") else list(peel)
-    out = np.zeros(n, dtype=np.int64)
-    seen = 0
-    for li, idx in enumerate(layers, start=1):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError("peel layer indices out of range")
-        if np.any(out[idx] != 0):
-            raise ValueError("peel layers are not disjoint")
-        out[idx] = li
-        seen += idx.size
-    if seen != n or np.any(out == 0):
-        raise ValueError("peel layers must cover every point exactly once")
-    return out
+    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * PEEL_CONSTANT / peel.layer_index)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,13 @@ from ._rng import rng_stream
 
 EXACT_CLUSTERING_MAX_N = 14
 EXACT_LINES_MAX_N = 12
+# method="auto" enumerates partitions only up to this n, for both problems.
+# Every distinct block needs its own center solve (up to 2^n of them), which
+# for z != 2 is an iterative one: at z = 1, k = 3 an exact solve took about
+# 2 s at n = 12 and 5 s at n = 14 on a 2-core host, against 0.1-0.3 s for the
+# heuristic.  So the clustering enumerator accepts n <= EXACT_CLUSTERING_MAX_N
+# when asked for, but auto stops at 12.
+_AUTO_EXACT_MAX_N = 12
 
 
 class SolveReport:
@@ -135,9 +142,80 @@ def opt_center(pts, z, weights=None):
     return _descent_center(pts, w, z)
 
 
-def _center_cost(pts, w, z):
-    c = opt_center(pts, z, w)
-    return c, float(np.sum(w * np.linalg.norm(pts - c, axis=1) ** z))
+# ---------------------------------------------------------------------------
+# Shared engines: partition search and alternating assign/refit
+
+
+def _best_partition(n, k, block_cost):
+    """Blocks (index lists) of the cheapest partition of range(n) into <= k blocks.
+
+    Branch-and-bound over canonical set partitions.  ``block_cost(indices)``
+    is called for blocks of two or more points (a singleton costs 0) and must
+    not decrease as points join a block, so subtrees whose partial cost
+    reaches the incumbent are pruned.  Block costs are memoised by membership.
+    """
+    memo = {}
+    best = [np.inf, None]
+    blocks, masks, costs = [], [], []
+
+    def dfs(i, partial):
+        if partial >= best[0]:
+            return
+        if i == n:
+            best[0] = partial
+            best[1] = [list(b) for b in blocks]
+            return
+        for b in range(len(blocks)):
+            old_mask, old_cost = masks[b], costs[b]
+            blocks[b].append(i)
+            masks[b] = old_mask | (1 << i)
+            got = memo.get(masks[b])
+            if got is None:
+                got = memo[masks[b]] = block_cost(blocks[b])
+            costs[b] = got
+            dfs(i + 1, partial - old_cost + costs[b])
+            blocks[b].pop()
+            masks[b], costs[b] = old_mask, old_cost
+        if len(blocks) < k:
+            blocks.append([i])
+            masks.append(1 << i)
+            costs.append(0.0)
+            dfs(i + 1, partial)
+            blocks.pop()
+            masks.pop()
+            costs.pop()
+
+    dfs(0, 0.0)
+    return best[1]
+
+
+def _alternate(pts, w, shapes, sq_dists, refit, revive):
+    """Alternate nearest-shape assignment with per-group refits.
+
+    ``sq_dists(pts, shapes)`` is the (n, k) squared-distance matrix; ties go
+    to the lowest index.  A shape whose group is empty is replaced by
+    ``revive(point, shape)`` at the worst-served point; a non-empty group
+    gets ``refit(group_pts, group_w, shape)``.  Stops when an assignment
+    repeats, or after 100 rounds.  Returns (shapes, converged).
+    """
+    shapes = list(shapes)
+    prev = None
+    for _ in range(100):
+        sq = sq_dists(pts, shapes)
+        assign = np.argmin(sq, axis=1)
+        for b in range(len(shapes)):
+            if not np.any(assign == b):
+                far = int(np.argmax(np.sqrt(np.min(sq, axis=1))))
+                shapes[b] = revive(pts[far], shapes[b])
+                sq = sq_dists(pts, shapes)
+                assign = np.argmin(sq, axis=1)
+        if prev is not None and np.array_equal(assign, prev):
+            return shapes, True
+        prev = assign
+        shapes = [refit(pts[assign == b], w[assign == b], shapes[b])
+                  if np.any(assign == b) else shapes[b]
+                  for b in range(len(shapes))]
+    return shapes, False
 
 
 # ---------------------------------------------------------------------------
@@ -164,56 +242,17 @@ def solve_clustering_exact(data, k, z):
         sol = CenterSet(pts)
         return _report("clustering", data, sol, z, "partition-enumeration", 0, True)
 
-    memo = {}
+    def block_cost(idx):
+        bw = w[idx]
+        bp = pts[idx]
+        if z != 2.0:
+            c = opt_center(bp, z, bw)
+            return float(np.sum(bw * np.linalg.norm(bp - c, axis=1) ** z))
+        s = bw @ bp
+        return max(float(bw @ np.sum(bp * bp, axis=1) - (s @ s) / bw.sum()), 0.0)
 
-    def block_cost(mask, idx):
-        got = memo.get(mask)
-        if got is None:
-            if len(idx) == 1:
-                got = 0.0
-            elif z == 2.0:
-                bw = w[idx]
-                bp = pts[idx]
-                tot = bw.sum()
-                s = bw @ bp
-                got = float(bw @ np.sum(bp * bp, axis=1) - (s @ s) / tot)
-                got = max(got, 0.0)
-            else:
-                got = _center_cost(pts[idx], w[idx], z)[1]
-            memo[mask] = got
-        return got
-
-    best = [np.inf, None]
-    blocks = []          # list of lists of indices
-    masks = []
-    costs = []
-
-    def dfs(i, partial):
-        if partial >= best[0]:
-            return
-        if i == n:
-            best[0] = partial
-            best[1] = [list(b) for b in blocks]
-            return
-        for b in range(len(blocks)):
-            old_mask, old_cost = masks[b], costs[b]
-            blocks[b].append(i)
-            masks[b] = old_mask | (1 << i)
-            costs[b] = block_cost(masks[b], blocks[b])
-            dfs(i + 1, partial - old_cost + costs[b])
-            blocks[b].pop()
-            masks[b], costs[b] = old_mask, old_cost
-        if len(blocks) < k:
-            blocks.append([i])
-            masks.append(1 << i)
-            costs.append(0.0)
-            dfs(i + 1, partial)
-            blocks.pop()
-            masks.pop()
-            costs.pop()
-
-    dfs(0, 0.0)
-    centers = np.vstack([opt_center(pts[idx], z, w[idx]) for idx in best[1]])
+    blocks = _best_partition(n, k, block_cost)
+    centers = np.vstack([opt_center(pts[idx], z, w[idx]) for idx in blocks])
     sol = CenterSet(centers)
     return _report("clustering", data, sol, z, "partition-enumeration", 0, True)
 
@@ -255,34 +294,16 @@ def solve_clustering_heuristic(data, k, z, restarts=20, seed=0):
 
     best = (np.inf, None, False)
     for r in range(restarts):
-        rng = rng_stream(seed, r)
-        centers = _dz_seed(pts, w, k, z, rng)
-        prev_assign = None
-        converged = False
-        for _ in range(100):
-            cs = CenterSet(centers)
-            assign = geometry.assignment("clustering", pts, cs)
-            # revive empty clusters at the worst-served point
-            dist = geometry.distances("clustering", pts, cs)
-            for b in range(k):
-                if not np.any(assign == b):
-                    far = int(np.argmax(dist))
-                    centers[b] = pts[far]
-                    assign = geometry.assignment("clustering", pts, CenterSet(centers))
-                    dist = geometry.distances("clustering", pts, CenterSet(centers))
-            if prev_assign is not None and np.array_equal(assign, prev_assign):
-                converged = True
-                break
-            prev_assign = assign
-            centers = np.vstack([
-                opt_center(pts[assign == b], z, w[assign == b])
-                if np.any(assign == b) else centers[b]
-                for b in range(k)])
-        cp = geometry.cost_pow("clustering", data, CenterSet(centers), z)
+        centers, converged = _alternate(
+            pts, w, _dz_seed(pts, w, k, z, rng_stream(seed, r)),
+            lambda p, cs: geometry._sq_dists_to_centers(p, np.vstack(cs)),
+            lambda gp, gw, c: opt_center(gp, z, gw),
+            lambda far, c: far)
+        sol = CenterSet(np.vstack(centers))
+        cp = geometry.cost_pow("clustering", data, sol, z)
         if cp < best[0]:
-            best = (cp, centers.copy(), converged)
-    sol = CenterSet(best[1])
-    return _report("clustering", data, sol, z, "lloyd-multirestart", restarts, best[2])
+            best = (cp, sol, converged)
+    return _report("clustering", data, best[1], z, "lloyd-multirestart", restarts, best[2])
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +470,13 @@ def _default_dir(d):
     return e
 
 
+def _line_through(p, q, fallback_dir):
+    """The line through p and q, or the one along ``fallback_dir`` if p == q."""
+    if np.array_equal(p, q):
+        return Line.canonical(p, fallback_dir)
+    return Line.through(p, q)
+
+
 def solve_lines_exact(data, k, z):
     """Optimal k-line solution for z = 2 by partition enumeration.
 
@@ -467,77 +495,24 @@ def solve_lines_exact(data, k, z):
     if n > EXACT_LINES_MAX_N:
         raise ValueError(f"exact line solving is limited to n <= {EXACT_LINES_MAX_N}, got n = {n}")
     fallback = _default_dir(d)
+
+    def block_cost(idx):
+        if len(idx) <= 2:
+            return 0.0
+        bp = pts[idx]
+        bw = w[idx]
+        res = bp - geometry.project_line(bp, _fit_line(bp, bw, fallback))
+        return float(np.sum(bw * np.sum(res * res, axis=1)))
+
     if 2 * k >= n:
         # pair the points up: every partition into <= k blocks of <= 2 is free
-        lines = []
-        for i in range(0, n - 1, 2):
-            a, b = pts[i], pts[i + 1]
-            lines.append(Line.through(a, b) if not np.array_equal(a, b)
-                         else Line.canonical(a, fallback))
-        if n % 2:
-            lines.append(Line.canonical(pts[-1], fallback))
-        lines = lines[:k] if len(lines) >= k else lines + [lines[-1]] * (k - len(lines))
-        sol = LineSet(lines)
-        return _report("lines", data, sol, z, "partition-enumeration", 0, True)
-
-    memo = {}
-
-    def block_cost(mask, idx):
-        got = memo.get(mask)
-        if got is None:
-            if len(idx) <= 2:
-                got = 0.0
-            else:
-                bp = pts[idx]
-                bw = w[idx]
-                ln = _fit_line(bp, bw, fallback)
-                res = bp - geometry.project_line(bp, ln)
-                got = float(np.sum(bw * np.sum(res * res, axis=1)))
-            memo[mask] = got
-        return got
-
-    best = [np.inf, None]
-    blocks, masks, costs = [], [], []
-
-    def dfs(i, partial):
-        if partial >= best[0]:
-            return
-        if i == n:
-            best[0] = partial
-            best[1] = [list(b) for b in blocks]
-            return
-        for b in range(len(blocks)):
-            old_mask, old_cost = masks[b], costs[b]
-            blocks[b].append(i)
-            masks[b] = old_mask | (1 << i)
-            costs[b] = block_cost(masks[b], blocks[b])
-            dfs(i + 1, partial - old_cost + costs[b])
-            blocks[b].pop()
-            masks[b], costs[b] = old_mask, old_cost
-        if len(blocks) < k:
-            blocks.append([i])
-            masks.append(1 << i)
-            costs.append(0.0)
-            dfs(i + 1, partial)
-            blocks.pop()
-            masks.pop()
-            costs.pop()
-
-    dfs(0, 0.0)
-    lines = []
-    for idx in best[1]:
-        bp = pts[idx]
-        if len(idx) == 1:
-            lines.append(Line.canonical(bp[0], fallback))
-        elif len(idx) == 2 and np.array_equal(bp[0], bp[1]):
-            lines.append(Line.canonical(bp[0], fallback))
-        elif len(idx) == 2:
-            lines.append(Line.through(bp[0], bp[1]))
-        else:
-            lines.append(_fit_line(bp, w[idx], fallback))
-    while len(lines) < k:
-        lines.append(lines[-1])
-    sol = LineSet(lines)
+        blocks = [list(range(i, min(i + 2, n))) for i in range(0, n, 2)]
+    else:
+        blocks = _best_partition(n, k, block_cost)
+    lines = [_fit_line(pts[idx], w[idx], fallback) if len(idx) > 2
+             else _line_through(pts[idx[0]], pts[idx[-1]], fallback)
+             for idx in blocks]
+    sol = LineSet(lines + [lines[-1]] * (k - len(lines)))
     return _report("lines", data, sol, z, "partition-enumeration", 0, True)
 
 
@@ -557,66 +532,43 @@ def solve_lines_heuristic(data, k, z, restarts=20, seed=0):
         raise ValueError("k and restarts must be positive")
     fallback = _default_dir(d)
 
-    def line_through_indices(i, j):
-        if np.array_equal(pts[i], pts[j]):
-            return Line.canonical(pts[i], fallback)
-        return Line.through(pts[i], pts[j])
-
     best = (np.inf, None, False)
     for r in range(restarts):
-        rng = rng_stream(seed, r)
-        if n >= 2:
-            idx = rng.choice(n, size=(k, 2), replace=True)
-            lines = [line_through_indices(int(a), int(b)) if a != b
-                     else Line.canonical(pts[int(a)], fallback)
-                     for a, b in idx]
-        else:
-            lines = [Line.canonical(pts[0], fallback)] * k
-        prev_assign = None
-        converged = False
-        for _ in range(100):
-            ls = LineSet(lines)
-            assign = geometry.assignment("lines", pts, ls)
-            dist = geometry.distances("lines", pts, ls)
-            for b in range(k):
-                if not np.any(assign == b):
-                    far = int(np.argmax(dist))
-                    lines[b] = Line.canonical(pts[far], lines[b].direction)
-                    ls = LineSet(lines)
-                    assign = geometry.assignment("lines", pts, ls)
-                    dist = geometry.distances("lines", pts, ls)
-            if prev_assign is not None and np.array_equal(assign, prev_assign):
-                converged = True
-                break
-            prev_assign = assign
-            lines = [
-                _fit_line(pts[assign == b], w[assign == b], lines[b].direction)
-                if np.any(assign == b) else lines[b]
-                for b in range(k)]
-        cp = geometry.cost_pow("lines", data, LineSet(lines), z)
+        idx = rng_stream(seed, r).choice(n, size=(k, 2), replace=True)
+        lines, converged = _alternate(
+            pts, w, [_line_through(pts[a], pts[b], fallback) for a, b in idx],
+            geometry._sq_dists_to_lines,
+            lambda gp, gw, ln: _fit_line(gp, gw, ln.direction),
+            lambda far, ln: Line.canonical(far, ln.direction))
+        sol = LineSet(lines)
+        cp = geometry.cost_pow("lines", data, sol, z)
         if cp < best[0]:
-            best = (cp, list(lines), converged)
-    sol = LineSet(best[1])
-    return _report("lines", data, sol, z, "alternating-multirestart", restarts, best[2])
+            best = (cp, sol, converged)
+    return _report("lines", data, best[1], z, "alternating-multirestart", restarts, best[2])
+
+
+def _use_exact(method, data, exact_ok=True):
+    """Whether ``method`` routes this solve to the exact enumerator.
+
+    "auto" goes exact only where the enumerator supports the objective and
+    n <= _AUTO_EXACT_MAX_N; "exact" always does, up to the solver's own limit.
+    """
+    if method not in ("auto", "exact", "heuristic"):
+        raise ValueError(f"unknown method {method!r}")
+    n = geometry._points_of(data).shape[0]
+    return method == "exact" or (method == "auto" and exact_ok and n <= _AUTO_EXACT_MAX_N)
 
 
 def solve_lines(data, k, z, restarts=20, seed=0, method="auto"):
-    pts, _ = _data_arrays(data)
-    if method == "exact" or (method == "auto" and float(z) == 2.0
-                             and pts.shape[0] <= EXACT_LINES_MAX_N):
+    if _use_exact(method, data, exact_ok=float(z) == 2.0):
         return solve_lines_exact(data, k, z)
-    if method in ("auto", "heuristic"):
-        return solve_lines_heuristic(data, k, z, restarts=restarts, seed=seed)
-    raise ValueError(f"unknown method {method!r}")
+    return solve_lines_heuristic(data, k, z, restarts=restarts, seed=seed)
 
 
 def solve_clustering(data, k, z, restarts=20, seed=0, method="auto"):
-    pts, _ = _data_arrays(data)
-    if method == "exact" or (method == "auto" and pts.shape[0] <= 12):
+    if _use_exact(method, data):
         return solve_clustering_exact(data, k, z)
-    if method in ("auto", "heuristic"):
-        return solve_clustering_heuristic(data, k, z, restarts=restarts, seed=seed)
-    raise ValueError(f"unknown method {method!r}")
+    return solve_clustering_heuristic(data, k, z, restarts=restarts, seed=seed)
 
 
 def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):

@@ -1,9 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import projclust
 from projclust import geometry, jl, solvers
 from projclust.cli import main, preset_t
 
@@ -214,6 +218,21 @@ def test_preserve_failure_rows_and_exit_code(tmp_path):
     assert summary[13] == "0" and summary[14] == "2"
 
 
+def test_preserve_propagates_unexpected_solver_errors(tmp_path, monkeypatch):
+    real_solve = solvers.solve
+
+    def broken_when_projected(problem, data, *args, **kwargs):
+        if data.d < 10:
+            raise TypeError("a bug, not a solver refusal")
+        return real_solve(problem, data, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve", broken_when_projected)
+    with pytest.raises(TypeError):
+        main(["preserve", "--problem", "clustering", "--n", "20", "--d", "10",
+              "--k", "2", "--t-list", "3", "--trials", "2",
+              "--out", str(tmp_path / "r.csv")])
+
+
 def test_preserve_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     args = ["preserve", "--problem", "clustering", "--n", "30", "--d", "10",
             "--k", "2", "--z", "2", "--t-list", "4,8", "--trials", "3",
@@ -277,6 +296,18 @@ def test_preset_t_values():
 def test_preset_t_verbose_prints_formula(capsys):
     preset_t("clustering", 3, 2, 0.3, 200, 100, verbose=True)
     assert "ln k" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    src = os.path.dirname(os.path.dirname(projclust.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "projclust.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: projclust" in proc.stdout
 
 
 def test_parser_rejects_garbage():

@@ -13,6 +13,7 @@ from projclust.solvers import (
     solve_subspace, solve_flat,
     solve_lines_exact, solve_lines_heuristic, solve_lines,
     solve,
+    _best_partition,
 )
 
 
@@ -87,6 +88,34 @@ def fibonacci_sphere(g):
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     theta = np.pi * (1.0 + np.sqrt(5.0)) * i
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+
+
+def brute_partition_cost(n, k, cost):
+    best = np.inf
+    for assign in itertools.product(range(k), repeat=n):
+        blocks = [[i for i in range(n) if assign[i] == b] for b in range(k)]
+        best = min(best, sum(cost(blk) for blk in blocks if blk))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Shared partition search
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_best_partition_matches_brute_force(k):
+    for n in range(1, 9):
+        for seed in range(2):
+            x = np.random.default_rng(10 * n + seed).uniform(-1.0, 1.0, size=n)
+
+            def cost(idx):
+                return float((np.max(x[idx]) - np.min(x[idx])) ** 2)
+
+            blocks = _best_partition(n, k, cost)
+            assert 1 <= len(blocks) <= k
+            assert sorted(i for blk in blocks for i in blk) == list(range(n))
+            got = sum(cost(blk) for blk in blocks)
+            assert got == pytest.approx(brute_partition_cost(n, k, cost), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
