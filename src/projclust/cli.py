@@ -121,8 +121,7 @@ def _profile_for(problem, data, solution, z, k):
     if problem == "lines":
         labels = geometry.assignment("lines", data, solution)
         assign = [solution.lines[i] for i in labels]
-        proj = np.stack([geometry.project_line(p, ln)
-                         for p, ln in zip(data.points, assign)])
+        proj = geometry._project_to_lines(data.points, solution.lines, labels)
         peel = coreset_mod.peel_partition(proj, assign, k)
         return sensitivity.line_sensitivity(data, solution, z, peel)
     raise ValueError(f"unknown problem: {problem!r}")

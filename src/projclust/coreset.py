@@ -128,11 +128,11 @@ def _canonical_order(positions):
     index sequence is lexicographically smaller wins; a linear map can only
     swap the two sweeps, so the chosen order is reparametrization-stable.
     """
-    n = positions.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(positions.shape[0])
     fwd = np.lexsort((idx, positions))
     rev = np.lexsort((idx, -positions))
-    if list(fwd) <= list(rev):
+    first = int(np.argmax(fwd != rev))   # 0 when the sweeps agree throughout
+    if fwd[first] <= rev[first]:
         return fwd, positions[fwd]
     return rev, -positions[rev]
 
@@ -186,32 +186,56 @@ def line_coreset_klines(y, assignment, k):
     injective on each line.
     """
     pts = geometry._points_of(y)
-    n = pts.shape[0]
+    lines, labels = _line_labels(assignment, pts.shape[0], k)
+    return _klines(pts, lines, labels, k)
+
+
+def _line_labels(assignment, n, k):
+    """The distinct lines of ``assignment`` in first-seen order, and for each
+    point the number of its line.
+
+    Lines are grouped by ``==``; each distinct object is compared once, so an
+    assignment that reuses k line objects costs k comparisons, not n.
+    """
     assignment = list(assignment)
     if len(assignment) != n:
         raise ValueError("assignment length must match the number of points")
-    groups = []                      # (line, [indices]) in first-seen order
+    lines = []
+    labels = np.empty(n, dtype=np.int64)
+    by_id = {}                       # id(line object) -> its group number
     for i, ln in enumerate(assignment):
-        if not isinstance(ln, Line):
-            raise ValueError("assignment entries must be Line instances")
-        for l0, idxs in groups:
-            if l0 == ln:
-                idxs.append(i)
-                break
-        else:
-            groups.append((ln, [i]))
-    if len(groups) > int(k):
-        raise ValueError(f"assignment uses {len(groups)} distinct lines, more than k = {k}")
+        j = by_id.get(id(ln))
+        if j is None:
+            if not isinstance(ln, Line):
+                raise ValueError("assignment entries must be Line instances")
+            for j, l0 in enumerate(lines):
+                if l0 == ln:
+                    break
+            else:
+                j = len(lines)
+                lines.append(ln)
+            by_id[id(ln)] = j
+        labels[i] = j
+    if len(lines) > int(k):
+        raise ValueError(f"assignment uses {len(lines)} distinct lines, more than k = {k}")
+    return lines, labels
+
+
+def _klines(pts, lines, labels, k):
+    """Sorted union of the per-line 1-d coresets; point i lies on
+    ``lines[labels[i]]``.  Lines with no points are skipped."""
     out = []
-    for ln, idxs in groups:
+    for j, ln in enumerate(lines):
+        idxs = np.flatnonzero(labels == j)
+        if idxs.size == 0:
+            continue
         sub = pts[idxs]
         res = np.linalg.norm(sub - project_line(sub, ln), axis=1)
         scale = max(1.0, float(np.max(np.linalg.norm(sub, axis=1))))
         if float(np.max(res)) > _ONLINE_TOL * scale:
             raise ValueError("a point does not lie on its assigned line")
-        local = line_coreset_1d(sub, k)
-        out.extend(int(idxs[j]) for j in local)
-    return np.array(sorted(out), dtype=np.int64)
+        out.append(idxs[line_coreset_1d(sub, k)])
+    return np.sort(np.concatenate(out)).astype(np.int64, copy=False)
 
 
 class PeelingPartition:
@@ -261,15 +285,11 @@ def peel_partition(y, assignment, k):
     """
     pts = geometry._points_of(y)
     n = pts.shape[0]
-    assignment = list(assignment)
-    if len(assignment) != n:
-        raise ValueError("assignment length must match the number of points")
+    lines, labels = _line_labels(assignment, n, k)
     remaining = np.arange(n, dtype=np.int64)
     layers = []
     while remaining.size:
-        sub = pts[remaining]
-        sub_assign = [assignment[i] for i in remaining]
-        local = line_coreset_klines(sub, sub_assign, k)
+        local = _klines(pts[remaining], lines, labels[remaining], k)
         layer = remaining[local]
         layers.append(layer)
         remaining = np.setdiff1d(remaining, layer, assume_unique=True)

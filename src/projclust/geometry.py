@@ -225,7 +225,8 @@ class Line:
                 and np.array_equal(self.direction, other.direction))
 
     def __hash__(self):
-        return hash((self.anchor.tobytes(), self.direction.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already treats as equal
+        return hash(((self.anchor + 0.0).tobytes(), (self.direction + 0.0).tobytes()))
 
     def __repr__(self):
         return f"Line(d={self.d})"
@@ -284,6 +285,17 @@ def project_line(x, line):
         raise ValueError(f"point dimension {x.shape[-1]} != line ambient {line.d}")
     t = (x - line.anchor) @ line.direction
     return line.anchor + np.multiply.outer(t, line.direction)
+
+
+def _project_to_lines(pts, lines, labels):
+    """Row i of ``pts`` projected onto ``lines[labels[i]]``, one
+    :func:`project_line` call per line."""
+    out = np.empty_like(pts)
+    for j, ln in enumerate(lines):
+        mask = labels == j
+        if np.any(mask):
+            out[mask] = project_line(pts[mask], ln)
+    return out
 
 
 # ---------------------------------------------------------------------------

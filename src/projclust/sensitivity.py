@@ -18,7 +18,7 @@ from . import geometry
 from .coreset import PeelingPartition
 from .geometry import (
     Dataset, CenterSet, Subspace, Flat, LineSet,
-    project_subspace, project_flat, project_line,
+    project_subspace, project_flat,
 )
 
 # Constant in the per-layer line-sensitivity term; matches the cover
@@ -328,12 +328,7 @@ def _reference_points(pts, solution):
         return project_flat(pts, solution)
     if isinstance(solution, LineSet):
         a = geometry.assignment("lines", pts, solution)
-        out = np.empty_like(pts)
-        for j, ln in enumerate(solution.lines):
-            mask = a == j
-            if np.any(mask):
-                out[mask] = project_line(pts[mask], ln)
-        return out
+        return geometry._project_to_lines(pts, solution.lines, a)
     raise ValueError("solution must be a CenterSet, Subspace, Flat, or LineSet")
 
 

@@ -103,7 +103,9 @@ def _descent_center(pts, w, z, max_iter=500, tol=1e-8):
     for _ in range(max_iter):
         diff = c - pts
         dist = np.linalg.norm(diff, axis=1)
-        coef = np.where(dist > 0, z * dist ** (z - 2.0), 0.0) * w
+        away = dist > 0
+        # a point on the center gets coefficient 0; its 1.0 keeps z < 2 from dividing by 0
+        coef = np.where(away, z * np.where(away, dist, 1.0) ** (z - 2.0), 0.0) * w
         grad = (coef[:, None] * diff).sum(axis=0)
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:

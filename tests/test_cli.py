@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -147,6 +148,36 @@ def test_coreset_command_lines_problem(tmp_path):
                  "--out", str(out)]) == 0
     _, rows = read_csv(str(out))
     assert len(rows) == 4 and all(r[2] == "ok" for r in rows)
+
+
+def test_coreset_lines_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+    src = tmp_path / "s.txt"
+    main(["gen", "--kind", "points-near-k-lines", "--n", "60", "--d", "4",
+          "--k", "2", "--noise", "0.1", "--seed", "5", "--out", str(src)])
+    args = ["coreset", "--in", str(src), "--problem", "lines", "--k", "2",
+            "--z", "2", "--m", "20", "--t", "3", "--trials", "3",
+            "--restarts", "5", "--seed", "2"]
+    outs = []
+    for name, threads in (("one.csv", "1"), ("three.csv", "3"), ("again.csv", "3")):
+        path = tmp_path / name
+        monkeypatch.setenv("PROJCLUST_THREADS", threads)
+        assert main(args + ["--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_coreset_clustering_fractional_z_does_not_warn(tmp_path, monkeypatch):
+    # sampled coresets repeat points, so the z = 1.3 center descent meets a
+    # point on its center
+    src, out = tmp_path / "s.txt", tmp_path / "q.csv"
+    main(["gen", "--kind", "gaussian-mixture", "--n", "12", "--d", "3",
+          "--k", "2", "--seed", "0", "--out", str(src)])
+    monkeypatch.setenv("PROJCLUST_THREADS", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["coreset", "--in", str(src), "--problem", "clustering",
+                     "--k", "2", "--z", "1.3", "--m", "8", "--t", "2",
+                     "--trials", "3", "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from projclust.coreset import (
     Coreset, sensitivity_sample,
     line_coreset_1d, line_coreset_klines, coreset_size_bound,
     PeelingPartition, peel_partition,
+    _canonical_order,
 )
 
 
@@ -249,6 +250,88 @@ def test_peeling_pairs_off_collinear_points():
     npt.assert_array_equal(part.layers[1], [1, 8])
     npt.assert_array_equal(part.layers[4], [4, 5])
     npt.assert_array_equal(part.layer_index, [1, 2, 3, 4, 5, 5, 4, 3, 2, 1])
+
+
+def reference_peel(pts, assignment, k):
+    """Peeling as a per-layer loop that regroups the Line objects each layer."""
+    assignment = list(assignment)
+    n = pts.shape[0]
+    if len(assignment) != n:
+        raise ValueError("assignment length must match the number of points")
+    remaining = np.arange(n, dtype=np.int64)
+    layers = []
+    while remaining.size:
+        local = line_coreset_klines(pts[remaining],
+                                    [assignment[i] for i in remaining], k)
+        layers.append(remaining[local])
+        remaining = np.setdiff1d(remaining, layers[-1], assume_unique=True)
+    return PeelingPartition(layers, n)
+
+
+def points_on_lines(rng, k, n, d=3):
+    lines = [Line.through(rng.normal(size=d), rng.normal(size=d)) for _ in range(k)]
+    labels = rng.integers(k, size=n)
+    params = rng.normal(0, 3, n)
+    pts = np.stack([lines[j].anchor + params[i] * lines[j].direction
+                    for i, j in enumerate(labels)])
+    return pts, lines, labels
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_peel_partition_matches_per_layer_reference(k):
+    rng = np.random.default_rng(40 + k)
+    for _ in range(6):
+        pts, lines, labels = points_on_lines(rng, k, int(rng.integers(5, 120)))
+        shared = [lines[j] for j in labels]
+        copies = [Line(lines[j].anchor.copy(), lines[j].direction.copy())
+                  for j in labels]
+        for assign in (shared, copies):
+            want = reference_peel(pts, assign, k)
+            got = peel_partition(pts, assign, k)
+            assert len(got.layers) == len(want.layers)
+            for a, b in zip(got.layers, want.layers):
+                npt.assert_array_equal(a, b)
+            npt.assert_array_equal(got.layer_index, want.layer_index)
+
+
+def test_peel_partition_refusals_match_reference():
+    rng = np.random.default_rng(14)
+    pts, assign, _ = two_line_instance(rng)
+    off = pts.copy()
+    off[0, 1] = 0.5
+    cases = [(pts, assign[:-1], 2),                    # length mismatch
+             (pts, assign, 1),                         # two lines, k = 1
+             (off, assign, 2),                         # a point off its line
+             (pts, assign[:3] + ["not a line"] + assign[4:], 2)]
+    for y, a, k in cases:
+        with pytest.raises(ValueError) as want:
+            reference_peel(y, a, k)
+        with pytest.raises(ValueError) as got:
+            peel_partition(y, a, k)
+        assert str(got.value) == str(want.value)
+
+
+def test_canonical_order_tie_break():
+    # forward sweep wins: its index sequence [0, 1, 2] beats [2, 0, 1]
+    order, p = _canonical_order(np.array([0.0, 0.0, 1.0]))
+    npt.assert_array_equal(order, [0, 1, 2])
+    npt.assert_array_equal(p, [0.0, 0.0, 1.0])
+    # reversed tie: the backward sweep [0, 1, 2] beats the forward [1, 2, 0]
+    order, p = _canonical_order(np.array([1.0, 0.0, 0.0]))
+    npt.assert_array_equal(order, [0, 1, 2])
+    npt.assert_array_equal(p, [-1.0, 0.0, 0.0])
+    # all tied: both sweeps agree and the forward one is kept
+    order, p = _canonical_order(np.zeros(4))
+    npt.assert_array_equal(order, [0, 1, 2, 3])
+    assert not np.signbit(p).any()
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        pos = rng.integers(0, 4, int(rng.integers(1, 9))).astype(np.float64)
+        idx = np.arange(pos.size)
+        fwd = np.lexsort((idx, pos))
+        rev = np.lexsort((idx, -pos))
+        want = fwd if list(fwd) <= list(rev) else rev
+        npt.assert_array_equal(_canonical_order(pos)[0], want)
 
 
 def test_peeling_partition_validation():

@@ -83,6 +83,14 @@ def test_line_canonical_form():
     assert ln == ln2
 
 
+def test_line_hash_agrees_with_eq_on_signed_zero():
+    a = Line([-0.0, 0.0], [1.0, 0.0])
+    b = Line([0.0, 0.0], [1.0, 0.0])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_lineset_validation():
     ln = Line.canonical([0.0, 0.0], [1.0, 0.0])
     ln3 = Line.canonical([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -142,6 +143,16 @@ def test_opt_center_geometric_median_symmetric():
 def test_opt_center_z3_midpoint():
     c = opt_center(np.array([[0.0], [1.0]]), 3)
     assert c[0] == pytest.approx(0.5, abs=1e-4)
+
+
+def test_opt_center_point_on_center_does_not_warn():
+    # the starting center (the mean) is the first point; z < 2 used to
+    # evaluate 0 ** (z - 2) there before masking it out
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = opt_center(pts, 1.3)
+    npt.assert_allclose(c, [0.0, 0.0], atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
