@@ -64,6 +64,12 @@ def _write_csv(path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
+def _solve(args, data):
+    return solvers.solve(args.problem, data, args.k, args.z,
+                         restarts=args.restarts, seed=args.seed,
+                         method=args.method)
+
+
 def _safe_ratio(num, den):
     if den > 0.0:
         return num / den
@@ -195,9 +201,7 @@ def cmd_project(args):
 
 def cmd_solve(args):
     data = read_dataset(args.infile)
-    rep = solvers.solve(args.problem, data, args.k, args.z,
-                        restarts=args.restarts, seed=args.seed,
-                        method=args.method)
+    rep = _solve(args, data)
     print(f"problem={args.problem} n={data.n} d={data.d} k={args.k} "
           f"z={_fmt(args.z)} method={rep.method} "
           f"cost={_fmt(float(rep.cost))} cost_pow={_fmt(float(rep.cost_pow))} "
@@ -218,9 +222,7 @@ def cmd_coreset(args):
                      const=args.const, verbose=True)
     if not 1 <= t <= d:
         raise ValueError(f"need 1 <= t <= d, got t={t} with d={d}")
-    rep_full = solvers.solve(args.problem, data, args.k, args.z,
-                             restarts=args.restarts, seed=args.seed,
-                             method=args.method)
+    rep_full = _solve(args, data)
     cost_full = float(rep_full.cost)
     prof = _profile_for(args.problem, data, rep_full.solution, args.z, args.k)
     trials = args.trials
@@ -230,16 +232,10 @@ def cmd_coreset(args):
             cs = coreset_mod.sensitivity_sample(data, prof, args.m, args.seed,
                                                 stream=trial)
             ws = cs.extract(data)
-            rep_cs = solvers.solve(args.problem, ws, args.k, args.z,
-                                   restarts=args.restarts, seed=args.seed,
-                                   method=args.method)
+            rep_cs = _solve(args, ws)
             pi = jl.sample_jl(d, t, args.seed, stream=trials + trial)
-            rep_pf = solvers.solve(args.problem, jl.apply(pi, data), args.k,
-                                   args.z, restarts=args.restarts,
-                                   seed=args.seed, method=args.method)
-            rep_pc = solvers.solve(args.problem, jl.apply(pi, ws), args.k,
-                                   args.z, restarts=args.restarts,
-                                   seed=args.seed, method=args.method)
+            rep_pf = _solve(args, jl.apply(pi, data))
+            rep_pc = _solve(args, jl.apply(pi, ws))
         except (ValueError, np.linalg.LinAlgError):
             return [args.m, trial, "failed", cost_full, None, None, None]
         return [args.m, trial, "ok", cost_full, float(rep_cs.cost),
@@ -281,10 +277,7 @@ def cmd_preserve(args):
 
     def full_solve(trial):
         data = make(args.n, args.d, args.k, 1.0, rng_stream(args.seed, trial))
-        rep = solvers.solve(problem, data, args.k, args.z,
-                            restarts=args.restarts, seed=args.seed,
-                            method=args.method)
-        return data, float(rep.cost)
+        return data, float(_solve(args, data).cost)
 
     full = _run_tasks(full_solve, list(range(trials)))
 
@@ -297,9 +290,7 @@ def cmd_preserve(args):
             else:
                 pi = jl.sample_jl(args.d, ts[ti], args.seed,
                                   stream=trials + ti * trials + trial)
-            rep = solvers.solve(problem, jl.apply(pi, data), args.k, args.z,
-                                restarts=args.restarts, seed=args.seed,
-                                method=args.method)
+            rep = _solve(args, jl.apply(pi, data))
         except (ValueError, np.linalg.LinAlgError):
             return ["failed", None, cost_full, None, None]
         return ["ok", rep.method, cost_full, float(rep.cost),
@@ -436,6 +427,13 @@ def _render_svg(path, ts, med, lo, hi, title):
 # parser
 
 
+def _solver_options(g):
+    g.add_argument("--method", default="auto",
+                   choices=["auto", "exact", "heuristic"])
+    g.add_argument("--restarts", type=int, default=20)
+    g.add_argument("--seed", type=int, default=0)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="projclust",
@@ -469,10 +467,7 @@ def build_parser():
     g.add_argument("--problem", required=True, choices=list(PROBLEMS))
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--z", type=float, default=2.0)
-    g.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "heuristic"])
-    g.add_argument("--restarts", type=int, default=20)
-    g.add_argument("--seed", type=int, default=0)
+    _solver_options(g)
     g.add_argument("--out", help="write the fitted solution to this file")
     g.set_defaults(func=cmd_solve)
 
@@ -491,10 +486,7 @@ def build_parser():
                    help="rescale the preset dimension formula")
     g.add_argument("--trials", type=int, default=20,
                    help="number of independent coreset draws")
-    g.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "heuristic"])
-    g.add_argument("--restarts", type=int, default=20)
-    g.add_argument("--seed", type=int, default=0)
+    _solver_options(g)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_coreset)
 
@@ -513,10 +505,7 @@ def build_parser():
     g.add_argument("--const", type=float, default=1.0,
                    help="rescale the preset dimension formula")
     g.add_argument("--trials", type=int, default=20)
-    g.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "heuristic"])
-    g.add_argument("--restarts", type=int, default=20)
-    g.add_argument("--seed", type=int, default=0)
+    _solver_options(g)
     g.add_argument("--out", required=True)
     g.add_argument("--plot", help="write an SVG chart to this file")
     g.set_defaults(func=cmd_preserve)

@@ -98,10 +98,14 @@ def line_coreset_1d(y, k):
     n = pts.shape[0]
     if n <= 2:
         return np.arange(n, dtype=np.int64)
-    positions = _collinear_positions(pts)
+    return _coreset_1d(_collinear_positions(pts), k)
+
+
+def _coreset_1d(positions, k):
+    """:func:`line_coreset_1d` on the points' 1-d coordinates along their line."""
     order, pos_sorted = _canonical_order(positions)
     chosen = set()
-    _recurse_1d(order, pos_sorted, 0, n, k, chosen)
+    _recurse_1d(order, pos_sorted, 0, positions.shape[0], k, chosen)
     return np.array(sorted(chosen), dtype=np.int64)
 
 
@@ -234,7 +238,7 @@ def _klines(pts, lines, labels, k):
         scale = max(1.0, float(np.max(np.linalg.norm(sub, axis=1))))
         if float(np.max(res)) > _ONLINE_TOL * scale:
             raise ValueError("a point does not lie on its assigned line")
-        out.append(idxs[line_coreset_1d(sub, k)])
+        out.append(idxs[_coreset_1d((sub - ln.anchor) @ ln.direction, int(k))])
     return np.sort(np.concatenate(out)).astype(np.int64, copy=False)
 
 

@@ -326,6 +326,23 @@ def _sq_dists_to_lines(pts, lines):
     return sq
 
 
+_SHAPE_TYPES = {"clustering": CenterSet, "subspace": Subspace, "flat": Flat, "lines": LineSet}
+
+
+def _checked_points(problem, data, solution):
+    """The (n, d) points of ``data``, once ``solution`` is checked to be the
+    shape type ``problem`` expects, in the same dimension d."""
+    pts = _points_of(data)
+    shape_type = _SHAPE_TYPES.get(problem)
+    if shape_type is None:
+        raise ValueError(f"unknown problem {problem!r}; expected one of {PROBLEMS}")
+    if not isinstance(solution, shape_type):
+        raise ValueError(f"{problem} expects a {shape_type.__name__}")
+    if pts.shape[1] != solution.d:
+        raise ValueError(f"data dimension {pts.shape[1]} != solution dimension {solution.d}")
+    return pts
+
+
 def distances(problem, data, solution):
     """Per-point Euclidean distance to the nearest shape of the solution.
 
@@ -340,35 +357,14 @@ def distances(problem, data, solution):
     -------
     (n,) float array of distances.
     """
-    pts = _points_of(data)
+    pts = _checked_points(problem, data, solution)
     if problem == "clustering":
-        if not isinstance(solution, CenterSet):
-            raise ValueError("clustering expects a CenterSet")
-        _check_dim(pts, solution.d)
         return np.sqrt(np.min(_sq_dists_to_centers(pts, solution.centers), axis=1))
     if problem == "subspace":
-        if not isinstance(solution, Subspace):
-            raise ValueError("subspace expects a Subspace")
-        _check_dim(pts, solution.d)
-        res = pts - project_subspace(pts, solution)
-        return np.linalg.norm(res, axis=1)
+        return np.linalg.norm(pts - project_subspace(pts, solution), axis=1)
     if problem == "flat":
-        if not isinstance(solution, Flat):
-            raise ValueError("flat expects a Flat")
-        _check_dim(pts, solution.d)
-        res = pts - project_flat(pts, solution)
-        return np.linalg.norm(res, axis=1)
-    if problem == "lines":
-        if not isinstance(solution, LineSet):
-            raise ValueError("lines expects a LineSet")
-        _check_dim(pts, solution.d)
-        return np.sqrt(np.min(_sq_dists_to_lines(pts, solution.lines), axis=1))
-    raise ValueError(f"unknown problem {problem!r}; expected one of {PROBLEMS}")
-
-
-def _check_dim(pts, d):
-    if pts.shape[1] != d:
-        raise ValueError(f"data dimension {pts.shape[1]} != solution dimension {d}")
+        return np.linalg.norm(pts - project_flat(pts, solution), axis=1)
+    return np.sqrt(np.min(_sq_dists_to_lines(pts, solution.lines), axis=1))
 
 
 def assignment(problem, data, solution):
@@ -376,33 +372,21 @@ def assignment(problem, data, solution):
 
     Defined for "clustering" (nearest center) and "lines" (nearest line).
     """
-    pts = _points_of(data)
+    if problem not in ("clustering", "lines"):
+        raise ValueError("assignment is defined for 'clustering' and 'lines' only")
+    pts = _checked_points(problem, data, solution)
     if problem == "clustering":
-        _check_dim(pts, solution.d)
         return np.argmin(_sq_dists_to_centers(pts, solution.centers), axis=1)
-    if problem == "lines":
-        _check_dim(pts, solution.d)
-        return np.argmin(_sq_dists_to_lines(pts, solution.lines), axis=1)
-    raise ValueError("assignment is defined for 'clustering' and 'lines' only")
+    return np.argmin(_sq_dists_to_lines(pts, solution.lines), axis=1)
 
 
 def cost_pow(problem, data, solution, z):
     """Sum of z-th powers of distances, weighted if data is a WeightedSet."""
     z = _check_z(z)
-    dist = distances(problem, data, solution)
+    vals = distances(problem, data, solution) ** z
     if isinstance(data, WeightedSet):
-        w = data.weights
-    else:
-        w = None
-    if z == 2.0:
-        vals = dist * dist
-    elif z == 1.0:
-        vals = dist
-    else:
-        vals = dist ** z
-    if w is None:
-        return float(np.sum(vals))
-    return float(np.sum(w * vals))
+        return float(np.sum(data.weights * vals))
+    return float(np.sum(vals))
 
 
 def cost(problem, data, solution, z):

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .coreset import PeelingPartition
 from .geometry import (
-    Dataset, CenterSet, Subspace, Flat, LineSet,
+    CenterSet, Subspace, Flat, LineSet,
     project_subspace, project_flat,
 )
 
@@ -94,10 +94,7 @@ def clustering_sensitivity(data, centers, z):
     whenever the cost is positive.
     """
     z = geometry._check_z(z)
-    if not isinstance(centers, CenterSet):
-        raise ValueError("centers must be a CenterSet")
-    pts = geometry._points_of(data)
-    geometry._check_dim(pts, centers.d)
+    pts = geometry._checked_points("clustering", data, centers)
     assign = geometry.assignment("clustering", pts, centers)
     dist = geometry.distances("clustering", pts, centers)
     sizes = np.bincount(assign, minlength=centers.k)
@@ -255,17 +252,8 @@ def subspace_sensitivity(data, subspace, z):
     the origin the supremum term degenerates to the uniform value 1/n.
     """
     z = geometry._check_z(z)
-    if not isinstance(subspace, Subspace):
-        raise ValueError("expected a Subspace")
-    pts = geometry._points_of(data)
-    geometry._check_dim(pts, subspace.d)
-    n = pts.shape[0]
-    proj = project_subspace(pts, subspace)
-    if float(np.max(np.linalg.norm(proj, axis=1))) == 0.0:
-        sup = np.full(n, 1.0 / n)
-    else:
-        sup = sup_ratios(proj, z)
-    return _profile(np.linalg.norm(pts - proj, axis=1), z, 2.0 ** (2.0 * z - 1.0) * sup)
+    pts = geometry._checked_points("subspace", data, subspace)
+    return _projection_profile(pts, project_subspace(pts, subspace), z, affine=False)
 
 
 def flat_sensitivity(data, flat, z):
@@ -277,15 +265,24 @@ def flat_sensitivity(data, flat, z):
     supremum one dimension up, which is how it is computed here.
     """
     z = geometry._check_z(z)
-    if not isinstance(flat, Flat):
-        raise ValueError("expected a Flat")
-    pts = geometry._points_of(data)
-    geometry._check_dim(pts, flat.d)
+    pts = geometry._checked_points("flat", data, flat)
+    return _projection_profile(pts, project_flat(pts, flat), z, affine=True)
+
+
+def _projection_profile(pts, proj, z, affine):
+    """The body of :func:`subspace_sensitivity` and :func:`flat_sensitivity`.
+
+    ``proj`` holds the projections of ``pts``.  With ``affine`` the supremum
+    runs over the projections lifted by a constant coordinate 1, which are
+    never all zero, so only the linear case can fall back to uniform 1/n.
+    """
     n = pts.shape[0]
-    proj = project_flat(pts, flat)
-    lifted = np.hstack([proj, np.ones((n, 1))])
-    return _profile(np.linalg.norm(pts - proj, axis=1), z,
-                    2.0 ** (2.0 * z - 1.0) * sup_ratios(lifted, z))
+    y = np.hstack([proj, np.ones((n, 1))]) if affine else proj
+    if float(np.max(np.linalg.norm(y, axis=1))) == 0.0:
+        sup = np.full(n, 1.0 / n)
+    else:
+        sup = sup_ratios(y, z)
+    return _profile(np.linalg.norm(pts - proj, axis=1), z, 2.0 ** (2.0 * z - 1.0) * sup)
 
 
 def line_sensitivity(data, lines, z, peel):
@@ -300,10 +297,7 @@ def line_sensitivity(data, lines, z, peel):
     with c = ``PEEL_CONSTANT``.
     """
     z = geometry._check_z(z)
-    if not isinstance(lines, LineSet):
-        raise ValueError("expected a LineSet")
-    pts = geometry._points_of(data)
-    geometry._check_dim(pts, lines.d)
+    pts = geometry._checked_points("lines", data, lines)
     n = pts.shape[0]
     if not isinstance(peel, PeelingPartition):
         peel = PeelingPartition(peel, n)

@@ -18,6 +18,9 @@ from ._rng import rng_stream
 
 EXACT_CLUSTERING_MAX_N = 14
 EXACT_LINES_MAX_N = 12
+# Sampled starts tried besides the z = 2 solution when z != 2.
+_SUBSPACE_CANDIDATES = 30
+_FLAT_ANCHORS = 10
 # method="auto" enumerates partitions only up to this n, for both problems.
 # Every distinct block needs its own center solve (up to 2^n of them), which
 # for z != 2 is an iterative one: at z = 1, k = 3 an exact solve took about
@@ -91,41 +94,54 @@ def _weiszfeld(pts, w, max_iter=10_000, tol=1e-10):
     return c
 
 
+def _descend(x, cost, grad, move, max_iter, tol):
+    """Backtracking gradient descent from ``x``; returns (x, cost(x)).
+
+    ``move(x, g, gnorm, step)`` is the candidate one step of size ``step``
+    against the gradient ``g`` (of norm ``gnorm``) reaches.  A candidate that
+    does not lower the cost halves the step, up to 40 times; an accepted one
+    grows it by 1.5.  Stops at a zero gradient, when no step helps, or when
+    the relative gain falls below ``tol``.
+    """
+    val = cost(x)
+    step = 1.0
+    for _ in range(max_iter):
+        g = grad(x)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm == 0.0:
+            break
+        for _ in range(40):
+            cand = move(x, g, gnorm, step)
+            cval = cost(cand)
+            if cval < val:
+                break
+            step *= 0.5
+        else:               # no step lowered the cost
+            break
+        x, old, val = cand, val, cval
+        step *= 1.5
+        if old - val < tol * max(val, 1e-300):
+            break
+    return x, val
+
+
 def _descent_center(pts, w, z, max_iter=500, tol=1e-8):
     """Gradient descent with backtracking on the convex power-z center cost."""
-    c = np.average(pts, axis=0, weights=w)
-    step = 1.0
 
-    def cost(cc):
-        return float(np.sum(w * np.linalg.norm(pts - cc, axis=1) ** z))
+    def cost(c):
+        return float(np.sum(w * np.linalg.norm(pts - c, axis=1) ** z))
 
-    val = cost(c)
-    for _ in range(max_iter):
+    def grad(c):
         diff = c - pts
         dist = np.linalg.norm(diff, axis=1)
         away = dist > 0
         # a point on the center gets coefficient 0; its 1.0 keeps z < 2 from dividing by 0
         coef = np.where(away, z * np.where(away, dist, 1.0) ** (z - 2.0), 0.0) * w
-        grad = (coef[:, None] * diff).sum(axis=0)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            break
-        improved = False
-        for _ in range(40):
-            cand = c - step * grad / max(gnorm, 1.0)
-            cval = cost(cand)
-            if cval < val:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        c, old = cand, val
-        val = cval
-        step *= 1.5
-        if old - val < tol * max(val, 1e-300):
-            break
-    return c
+        return (coef[:, None] * diff).sum(axis=0)
+
+    return _descend(np.average(pts, axis=0, weights=w), cost, grad,
+                    lambda c, g, gnorm, step: c - step * g / max(gnorm, 1.0),
+                    max_iter, tol)[0]
 
 
 def opt_center(pts, z, weights=None):
@@ -145,7 +161,7 @@ def opt_center(pts, z, weights=None):
 
 
 # ---------------------------------------------------------------------------
-# Shared engines: partition search and alternating assign/refit
+# Shared engines: partition search, alternating assign/refit, restarts
 
 
 def _best_partition(n, k, block_cost):
@@ -220,6 +236,20 @@ def _alternate(pts, w, shapes, sq_dists, refit, revive):
     return shapes, False
 
 
+def _best_of_restarts(problem, data, z, restarts, fit, method):
+    """Report on the cheapest ``fit(r)`` over r < restarts.
+
+    ``fit(r)`` returns (solution, converged); the first restart wins ties.
+    """
+    best = (np.inf, None, False)
+    for r in range(restarts):
+        sol, converged = fit(r)
+        cp = geometry.cost_pow(problem, data, sol, z)
+        if cp < best[0]:
+            best = (cp, sol, converged)
+    return _report(problem, data, best[1], z, method, restarts, best[2])
+
+
 # ---------------------------------------------------------------------------
 # Clustering
 
@@ -262,17 +292,16 @@ def solve_clustering_exact(data, k, z):
 def _dz_seed(pts, w, k, z, rng):
     """Cost-proportional seeding: each new center drawn by current power-z cost."""
     n = pts.shape[0]
-    first = int(rng.integers(n))
-    centers = [pts[first]]
+    centers = [pts[int(rng.integers(n))]]
+    dist = np.full(n, np.inf)      # distance to the nearest center so far
     for _ in range(k - 1):
-        dist = np.min(
-            np.stack([np.linalg.norm(pts - c, axis=1) for c in centers]), axis=0)
+        dist = np.minimum(dist, np.linalg.norm(pts - centers[-1], axis=1))
         p = w * dist ** z
         tot = p.sum()
         if tot <= 0:
             centers.append(pts[int(rng.integers(n))])
-            continue
-        centers.append(pts[int(rng.choice(n, p=p / tot))])
+        else:
+            centers.append(pts[int(rng.choice(n, p=p / tot))])
     return np.vstack(centers)
 
 
@@ -294,18 +323,15 @@ def solve_clustering_heuristic(data, k, z, restarts=20, seed=0):
         sol = CenterSet(pts)
         return _report("clustering", data, sol, z, "lloyd-multirestart", restarts, True)
 
-    best = (np.inf, None, False)
-    for r in range(restarts):
+    def fit(r):
         centers, converged = _alternate(
             pts, w, _dz_seed(pts, w, k, z, rng_stream(seed, r)),
             lambda p, cs: geometry._sq_dists_to_centers(p, np.vstack(cs)),
             lambda gp, gw, c: opt_center(gp, z, gw),
             lambda far, c: far)
-        sol = CenterSet(np.vstack(centers))
-        cp = geometry.cost_pow("clustering", data, sol, z)
-        if cp < best[0]:
-            best = (cp, sol, converged)
-    return _report("clustering", data, best[1], z, "lloyd-multirestart", restarts, best[2])
+        return CenterSet(np.vstack(centers)), converged
+
+    return _best_of_restarts("clustering", data, z, restarts, fit, "lloyd-multirestart")
 
 
 # ---------------------------------------------------------------------------
@@ -326,40 +352,24 @@ def _subspace_cost(pts, w, basis, z):
 
 def _grassmann_descent(pts, w, basis, z, max_iter=200, tol=1e-8):
     """Projected gradient descent over orthonormal k-frames."""
-    b = basis.copy()
-    val = _subspace_cost(pts, w, b, z)
-    step = 1.0
     scale = float(np.max(np.linalg.norm(pts, axis=1)))
     floor = 1e-12 * max(scale, 1.0)
-    for _ in range(max_iter):
+
+    def grad(b):
         res_sq = np.maximum(
             np.sum(pts * pts, axis=1) - np.sum((pts @ b.T) ** 2, axis=1), 0.0)
-        r = np.sqrt(res_sq)
-        coef = w * np.maximum(r, floor) ** (z - 2.0)
-        grad = -z * (b @ (pts.T * coef) @ pts)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            break
-        improved = False
-        for _ in range(40):
-            q, _ = np.linalg.qr((b - step * grad / gnorm).T)
-            cand = q.T[: b.shape[0]]
-            cval = _subspace_cost(pts, w, cand, z)
-            if cval < val:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        b, old = cand, val
-        val = cval
-        step *= 1.5
-        if old - val < tol * max(val, 1e-300):
-            break
-    return b, val
+        coef = w * np.maximum(np.sqrt(res_sq), floor) ** (z - 2.0)
+        return -z * (b @ (pts.T * coef) @ pts)
+
+    def retract(b, g, gnorm, step):
+        q, _ = np.linalg.qr((b - step * g / gnorm).T)
+        return q.T[: b.shape[0]]
+
+    return _descend(basis.copy(), lambda b: _subspace_cost(pts, w, b, z), grad,
+                    retract, max_iter, tol)
 
 
-def solve_subspace(data, k, z, candidates=30):
+def solve_subspace(data, k, z):
     """Best k-dimensional linear subspace.
 
     Exact for z = 2 (top singular directions).  For other z, spans of
@@ -379,7 +389,7 @@ def solve_subspace(data, k, z, candidates=30):
         return _report("subspace", data, sol, z, "svd", 0, True)
     pool = [svd_basis]
     rng = np.random.default_rng(0)   # internal, fixed: results are deterministic
-    for _ in range(candidates):
+    for _ in range(_SUBSPACE_CANDIDATES):
         idx = rng.choice(n, size=min(k, n), replace=False)
         basis = geometry._orthonormal_rows(pts[idx])
         if basis.shape[0] < k:
@@ -405,7 +415,7 @@ def _complement_basis(basis, d):
     return q[:, basis.shape[0]:].T
 
 
-def solve_flat(data, k, z, candidates=10):
+def solve_flat(data, k, z):
     """Best k-dimensional affine flat.
 
     Exact for z = 2: the flat through the weighted centroid spanned by the
@@ -427,7 +437,7 @@ def solve_flat(data, k, z, candidates=10):
         return _report("flat", data, sol, z, "centered-svd", 0, True)
 
     rng = np.random.default_rng(0)
-    anchors = [centroid] + [pts[int(rng.integers(n))] for _ in range(candidates)]
+    anchors = [centroid] + [pts[int(rng.integers(n))] for _ in range(_FLAT_ANCHORS)]
     best = (np.inf, None)
     for anchor in anchors:
         basis = pca
@@ -534,19 +544,16 @@ def solve_lines_heuristic(data, k, z, restarts=20, seed=0):
         raise ValueError("k and restarts must be positive")
     fallback = _default_dir(d)
 
-    best = (np.inf, None, False)
-    for r in range(restarts):
+    def fit(r):
         idx = rng_stream(seed, r).choice(n, size=(k, 2), replace=True)
         lines, converged = _alternate(
             pts, w, [_line_through(pts[a], pts[b], fallback) for a, b in idx],
             geometry._sq_dists_to_lines,
             lambda gp, gw, ln: _fit_line(gp, gw, ln.direction),
             lambda far, ln: Line.canonical(far, ln.direction))
-        sol = LineSet(lines)
-        cp = geometry.cost_pow("lines", data, sol, z)
-        if cp < best[0]:
-            best = (cp, sol, converged)
-    return _report("lines", data, best[1], z, "alternating-multirestart", restarts, best[2])
+        return LineSet(lines), converged
+
+    return _best_of_restarts("lines", data, z, restarts, fit, "alternating-multirestart")
 
 
 def _use_exact(method, data, exact_ok=True):

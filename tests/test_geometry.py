@@ -201,6 +201,44 @@ def test_assignment_tie_break_lowest_index():
         assignment("lines", Dataset([[5.0, 0.0]]), LineSet([l0, l1])), [0])
 
 
+def test_assignment_refuses_wrong_shape_type():
+    x = Dataset([[0.0, 0.0], [1.0, 2.0]])
+    lines = LineSet([Line.canonical([0.0, 0.0], [1.0, 0.0])])
+    centers = CenterSet([[0.0, 0.0]])
+    with pytest.raises(ValueError, match="clustering expects a CenterSet"):
+        assignment("clustering", x, lines)
+    with pytest.raises(ValueError, match="lines expects a LineSet"):
+        assignment("lines", x, centers)
+    with pytest.raises(ValueError, match="'clustering' and 'lines' only"):
+        assignment("subspace", x, Subspace([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="data dimension 2 != solution dimension 1"):
+        assignment("clustering", x, CenterSet([[0.0]]))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cost_pow_at_z1_and_z2_is_the_plain_sum(weighted):
+    # cost_pow raises to the power z for every z; at z = 1 and z = 2 that
+    # must stay bit-equal to summing dist and dist * dist
+    rng = np.random.default_rng(11)
+    pts = rand_points(rng, 50, 4)
+    w = rng.uniform(0.1, 3.0, 50)
+    data = WeightedSet(pts, w) if weighted else Dataset(pts)
+    solutions = {
+        "clustering": CenterSet(rand_points(rng, 3, 4)),
+        "subspace": Subspace.from_spanning(rng.normal(size=(2, 4))),
+        "flat": Flat.from_point(Subspace.from_spanning(rng.normal(size=(1, 4))),
+                                rng.normal(size=4)),
+        "lines": LineSet([Line.canonical(rng.normal(size=4), rng.normal(size=4))
+                          for _ in range(2)]),
+    }
+    for problem, sol in solutions.items():
+        dist = distances(problem, data, sol)
+        vals = {1: dist, 2: dist * dist}
+        for z, v in vals.items():
+            want = float(np.sum(w * v)) if weighted else float(np.sum(v))
+            assert cost_pow(problem, data, sol, z) == want
+
+
 # ---------------------------------------------------------------------------
 # Invariants
 

@@ -240,6 +240,22 @@ def test_line_sensitivity_peel_validation():
         line_sensitivity(x, ls, 2, [[0, 1, 2]])       # out of range
 
 
+def test_sensitivities_refuse_the_wrong_shape_type():
+    x = Dataset([[0.0, 1.0], [2.0, 3.0]])
+    lines = LineSet([Line.canonical([0.0, 0.0], [1.0, 0.0])])
+    centers = CenterSet([[0.0, 0.0]])
+    with pytest.raises(ValueError, match="clustering expects a CenterSet"):
+        clustering_sensitivity(x, lines, 2)
+    with pytest.raises(ValueError, match="subspace expects a Subspace"):
+        subspace_sensitivity(x, centers, 2)
+    with pytest.raises(ValueError, match="flat expects a Flat"):
+        flat_sensitivity(x, Subspace([[1.0, 0.0]]), 2)
+    with pytest.raises(ValueError, match="lines expects a LineSet"):
+        line_sensitivity(x, centers, 2, [[0, 1]])
+    with pytest.raises(ValueError, match="data dimension 2 != solution dimension 3"):
+        flat_sensitivity(x, Flat(Subspace([[1.0, 0.0, 0.0]]), [0.0, 0.0, 0.0]), 2)
+
+
 # ---------------------------------------------------------------------------
 # Projected-residual event
 

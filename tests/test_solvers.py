@@ -14,7 +14,7 @@ from projclust.solvers import (
     solve_subspace, solve_flat,
     solve_lines_exact, solve_lines_heuristic, solve_lines,
     solve,
-    _best_partition,
+    _best_partition, _descent_center, _grassmann_descent, _dz_seed, _subspace_cost,
 )
 
 
@@ -153,6 +153,139 @@ def test_opt_center_point_on_center_does_not_warn():
         warnings.simplefilter("error", RuntimeWarning)
         c = opt_center(pts, 1.3)
     npt.assert_allclose(c, [0.0, 0.0], atol=1e-6)
+
+
+# Loop references for the shared descent and the incremental seeding: the
+# shared versions must return the same bits.
+
+
+def ref_descent_center(pts, w, z, max_iter=500, tol=1e-8):
+    c = np.average(pts, axis=0, weights=w)
+    step = 1.0
+
+    def cost(cc):
+        return float(np.sum(w * np.linalg.norm(pts - cc, axis=1) ** z))
+
+    val = cost(c)
+    for _ in range(max_iter):
+        diff = c - pts
+        dist = np.linalg.norm(diff, axis=1)
+        away = dist > 0
+        coef = np.where(away, z * np.where(away, dist, 1.0) ** (z - 2.0), 0.0) * w
+        grad = (coef[:, None] * diff).sum(axis=0)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0.0:
+            break
+        improved = False
+        for _ in range(40):
+            cand = c - step * grad / max(gnorm, 1.0)
+            cval = cost(cand)
+            if cval < val:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        c, old = cand, val
+        val = cval
+        step *= 1.5
+        if old - val < tol * max(val, 1e-300):
+            break
+    return c
+
+
+def ref_grassmann_descent(pts, w, basis, z, max_iter=200, tol=1e-8):
+    b = basis.copy()
+    val = _subspace_cost(pts, w, b, z)
+    step = 1.0
+    scale = float(np.max(np.linalg.norm(pts, axis=1)))
+    floor = 1e-12 * max(scale, 1.0)
+    for _ in range(max_iter):
+        res_sq = np.maximum(
+            np.sum(pts * pts, axis=1) - np.sum((pts @ b.T) ** 2, axis=1), 0.0)
+        r = np.sqrt(res_sq)
+        coef = w * np.maximum(r, floor) ** (z - 2.0)
+        grad = -z * (b @ (pts.T * coef) @ pts)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0.0:
+            break
+        improved = False
+        for _ in range(40):
+            q, _ = np.linalg.qr((b - step * grad / gnorm).T)
+            cand = q.T[: b.shape[0]]
+            cval = _subspace_cost(pts, w, cand, z)
+            if cval < val:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        b, old = cand, val
+        val = cval
+        step *= 1.5
+        if old - val < tol * max(val, 1e-300):
+            break
+    return b, val
+
+
+def ref_dz_seed(pts, w, k, z, rng):
+    n = pts.shape[0]
+    first = int(rng.integers(n))
+    centers = [pts[first]]
+    for _ in range(k - 1):
+        dist = np.min(
+            np.stack([np.linalg.norm(pts - c, axis=1) for c in centers]), axis=0)
+        p = w * dist ** z
+        tot = p.sum()
+        if tot <= 0:
+            centers.append(pts[int(rng.integers(n))])
+            continue
+        centers.append(pts[int(rng.choice(n, p=p / tot))])
+    return np.vstack(centers)
+
+
+@pytest.mark.parametrize("z", [1.3, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_descent_center_matches_loop_reference(z, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(40, 3)) * [1.0, 4.0, 0.5]
+    w = rng.uniform(0.1, 3.0, 40)
+    npt.assert_array_equal(_descent_center(pts, w, z), ref_descent_center(pts, w, z))
+    # a point sitting on the starting center (the mean of a symmetric set)
+    sym = np.vstack([np.zeros(3), pts[:10], -pts[:10]])
+    ones = np.ones(sym.shape[0])
+    npt.assert_array_equal(_descent_center(sym, ones, z), ref_descent_center(sym, ones, z))
+    npt.assert_array_equal(_descent_center(pts, w, z, max_iter=3),
+                           ref_descent_center(pts, w, z, max_iter=3))
+
+
+@pytest.mark.parametrize("z", [1.3, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grassmann_descent_matches_loop_reference(z, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(50, 5)) * [3.0, 2.0, 1.0, 0.5, 0.2]
+    w = rng.uniform(0.1, 3.0, 50)
+    basis = geometry._orthonormal_rows(rng.normal(size=(2, 5)))
+    for kwargs in ({}, {"max_iter": 60}):
+        got_b, got_v = _grassmann_descent(pts, w, basis, z, **kwargs)
+        want_b, want_v = ref_grassmann_descent(pts, w, basis, z, **kwargs)
+        npt.assert_array_equal(got_b, want_b)
+        assert got_v == want_v
+
+
+@pytest.mark.parametrize("z", [1.3, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dz_seed_matches_loop_reference(z, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(60, 4))
+    pts[:5] = pts[5]
+    w = rng.uniform(0.1, 3.0, 60)
+    same = np.tile(pts[:1], (7, 1))      # every draw falls to the tot <= 0 branch
+    for p, pw, k in ((pts, w, 1), (pts, w, 5), (pts, np.ones(60), 8), (same, np.ones(7), 4)):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        npt.assert_array_equal(_dz_seed(p, pw, k, z, got_rng),
+                               ref_dz_seed(p, pw, k, z, want_rng))
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
 
 
 # ---------------------------------------------------------------------------
