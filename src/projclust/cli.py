@@ -117,20 +117,13 @@ _INSTANCE_FOR_PROBLEM = {
 }
 
 
-def _profile_for(problem, data, solution, z, k):
-    if problem == "clustering":
-        return sensitivity.clustering_sensitivity(data, solution, z)
-    if problem == "subspace":
-        return sensitivity.subspace_sensitivity(data, solution, z)
-    if problem == "flat":
-        return sensitivity.flat_sensitivity(data, solution, z)
-    if problem == "lines":
-        labels = geometry.assignment("lines", data, solution)
-        assign = [solution.lines[i] for i in labels]
-        proj = geometry._project_to_lines(data.points, solution.lines, labels)
-        peel = coreset_mod.peel_partition(proj, assign, k)
-        return sensitivity.line_sensitivity(data, solution, z, peel)
-    raise ValueError(f"unknown problem: {problem!r}")
+def _profile_for(problem, data, solution, z):
+    # looked up per call, so wrappers installed on the sensitivity module apply
+    score = {"clustering": sensitivity.clustering_sensitivity,
+             "subspace": sensitivity.subspace_sensitivity,
+             "flat": sensitivity.flat_sensitivity,
+             "lines": sensitivity.line_sensitivity}[problem]
+    return score(data, solution, z)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +217,7 @@ def cmd_coreset(args):
         raise ValueError(f"need 1 <= t <= d, got t={t} with d={d}")
     rep_full = _solve(args, data)
     cost_full = float(rep_full.cost)
-    prof = _profile_for(args.problem, data, rep_full.solution, args.z, args.k)
+    prof = _profile_for(args.problem, data, rep_full.solution, args.z)
     trials = args.trials
 
     def probe(trial):

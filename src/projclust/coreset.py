@@ -10,7 +10,7 @@ weighted proxy set with an unbiased cost estimate.
 import numpy as np
 
 from . import geometry
-from .geometry import Line, project_line
+from .geometry import LineSet, project_line
 from ._rng import rng_stream
 
 # Inflating a covering interval (or cylinder radius) by this factor is what
@@ -181,55 +181,38 @@ def coreset_size_bound(k, n):
     return (16.0 * max(np.log2(n), 1.0)) ** k
 
 
-def line_coreset_klines(y, assignment, k):
-    """Coreset of points lying on at most k lines.
+def line_coreset_klines(y, lines, labels):
+    """Coreset of points lying on the lines of a :class:`LineSet`.
 
-    ``assignment`` maps each point index to the :class:`Line` it lies on
-    (verified to within a relative 1e-9).  The result is the union of the
-    per-line 1-d coresets, and it commutes with any linear map that is
+    Point i lies on ``lines.lines[labels[i]]`` (verified to within a
+    relative 1e-9).  The result is the union of the per-line 1-d coresets
+    for k = ``lines.k``, and it commutes with any linear map that is
     injective on each line.
     """
     pts = geometry._points_of(y)
-    lines, labels = _line_labels(assignment, pts.shape[0], k)
-    return _klines(pts, lines, labels, k)
+    return _klines(pts, lines, _checked_labels(lines, labels, pts.shape[0]))
 
 
-def _line_labels(assignment, n, k):
-    """The distinct lines of ``assignment`` in first-seen order, and for each
-    point the number of its line.
-
-    Lines are grouped by ``==``; each distinct object is compared once, so an
-    assignment that reuses k line objects costs k comparisons, not n.
-    """
-    assignment = list(assignment)
-    if len(assignment) != n:
-        raise ValueError("assignment length must match the number of points")
-    lines = []
-    labels = np.empty(n, dtype=np.int64)
-    by_id = {}                       # id(line object) -> its group number
-    for i, ln in enumerate(assignment):
-        j = by_id.get(id(ln))
-        if j is None:
-            if not isinstance(ln, Line):
-                raise ValueError("assignment entries must be Line instances")
-            for j, l0 in enumerate(lines):
-                if l0 == ln:
-                    break
-            else:
-                j = len(lines)
-                lines.append(ln)
-            by_id[id(ln)] = j
-        labels[i] = j
-    if len(lines) > int(k):
-        raise ValueError(f"assignment uses {len(lines)} distinct lines, more than k = {k}")
-    return lines, labels
+def _checked_labels(lines, labels, n):
+    """``labels`` as an int array, once ``lines`` is checked to be a
+    :class:`LineSet` and ``labels`` to hold one line number per point."""
+    if not isinstance(lines, LineSet):
+        raise ValueError("lines must be a LineSet")
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError("labels must hold one entry per point")
+    if labels.dtype.kind not in "iu":
+        raise ValueError("labels must be integers")
+    if labels.min() < 0 or labels.max() >= lines.k:
+        raise ValueError(f"labels must lie in [0, {lines.k})")
+    return labels
 
 
-def _klines(pts, lines, labels, k):
+def _klines(pts, lines, labels):
     """Sorted union of the per-line 1-d coresets; point i lies on
-    ``lines[labels[i]]``.  Lines with no points are skipped."""
+    ``lines.lines[labels[i]]``.  Lines with no points are skipped."""
     out = []
-    for j, ln in enumerate(lines):
+    for j, ln in enumerate(lines.lines):
         idxs = np.flatnonzero(labels == j)
         if idxs.size == 0:
             continue
@@ -238,7 +221,7 @@ def _klines(pts, lines, labels, k):
         scale = max(1.0, float(np.max(np.linalg.norm(sub, axis=1))))
         if float(np.max(res)) > _ONLINE_TOL * scale:
             raise ValueError("a point does not lie on its assigned line")
-        out.append(idxs[_coreset_1d((sub - ln.anchor) @ ln.direction, int(k))])
+        out.append(idxs[_coreset_1d((sub - ln.anchor) @ ln.direction, lines.k)])
     return np.sort(np.concatenate(out)).astype(np.int64, copy=False)
 
 
@@ -280,20 +263,21 @@ class PeelingPartition:
         return f"PeelingPartition(n={self.n}, layers={len(self.layers)})"
 
 
-def peel_partition(y, assignment, k):
+def peel_partition(y, lines, labels):
     """Repeatedly strip the k-line coreset off the remaining points.
 
-    Each successive layer is the coreset of what is left, so earlier layers
-    hold the structurally indispensable points; the layer number feeds the
-    line-sensitivity scores.
+    Point i lies on ``lines.lines[labels[i]]``, as for
+    :func:`line_coreset_klines`.  Each successive layer is the coreset of
+    what is left, so earlier layers hold the structurally indispensable
+    points; the layer number feeds the line-sensitivity scores.
     """
     pts = geometry._points_of(y)
     n = pts.shape[0]
-    lines, labels = _line_labels(assignment, n, k)
+    labels = _checked_labels(lines, labels, n)
     remaining = np.arange(n, dtype=np.int64)
     layers = []
     while remaining.size:
-        local = _klines(pts[remaining], lines, labels[remaining], k)
+        local = _klines(pts[remaining], lines, labels[remaining])
         layer = remaining[local]
         layers.append(layer)
         remaining = np.setdiff1d(remaining, layer, assume_unique=True)

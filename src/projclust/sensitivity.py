@@ -15,7 +15,7 @@ is valid for comparing arbitrary candidate solutions of the same family.
 import numpy as np
 
 from . import geometry
-from .coreset import PeelingPartition
+from .coreset import peel_partition
 from .geometry import (
     CenterSet, Subspace, Flat, LineSet,
     project_subspace, project_flat,
@@ -175,6 +175,8 @@ def sup_ratio(y, i, z, method="auto"):
 
 
 _GRID_POINTS = 100_000
+# Angles scored at once; bounds the (n, block) temporaries of the grid.
+_GRID_BLOCK = 1_000
 
 
 def _sup_ratios_grid(p, z):
@@ -182,10 +184,12 @@ def _sup_ratios_grid(p, z):
         vals = np.abs(p[:, 0]) ** z
         return vals / np.sum(vals)
     theta = np.linspace(0.0, np.pi, _GRID_POINTS, endpoint=False)
-    u = np.stack([np.cos(theta), np.sin(theta)])
-    a = np.abs(p @ u) ** z               # (n, G)
-    denom = np.sum(a, axis=0)
-    return np.max(a / denom, axis=1)
+    best = np.full(p.shape[0], -np.inf)
+    for lo in range(0, _GRID_POINTS, _GRID_BLOCK):
+        block = theta[lo:lo + _GRID_BLOCK]
+        a = np.abs(p @ np.stack([np.cos(block), np.sin(block)])) ** z   # (n, block)
+        np.maximum(best, np.max(a / np.sum(a, axis=0), axis=1), out=best)
+    return best
 
 
 def _sup_ratio_ascent(p, i, z, restarts=16, iters=200, tol=1e-4):
@@ -285,12 +289,13 @@ def _projection_profile(pts, proj, z, affine):
     return _profile(np.linalg.norm(pts - proj, axis=1), z, 2.0 ** (2.0 * z - 1.0) * sup)
 
 
-def line_sensitivity(data, lines, z, peel):
-    """Sensitivity against a fixed set of lines with a peeling partition.
+def line_sensitivity(data, lines, z):
+    """Sensitivity against a fixed set of lines.
 
-    ``peel`` assigns each point (via its projection onto the nearest line) a
-    layer number i >= 1; deeper layers are cheaper to represent and get the
-    smaller score
+    Each point is projected onto its nearest line (lowest index on ties)
+    and the projections are peeled with
+    :func:`projclust.coreset.peel_partition`.  A point in layer i >= 1 is
+    cheaper to represent the deeper the layer and gets the score
 
         sigma(x) = 2^(z-1) * dist(x, L)^z / cost + 2^(2z-1) * c / i
 
@@ -298,12 +303,10 @@ def line_sensitivity(data, lines, z, peel):
     """
     z = geometry._check_z(z)
     pts = geometry._checked_points("lines", data, lines)
-    n = pts.shape[0]
-    if not isinstance(peel, PeelingPartition):
-        peel = PeelingPartition(peel, n)
-    elif peel.n != n:
-        raise ValueError(f"peel partition covers {peel.n} points, data has {n}")
-    dist = geometry.distances("lines", pts, lines)
+    sq = geometry._sq_dists_to_lines(pts, lines.lines)
+    labels = np.argmin(sq, axis=1)
+    peel = peel_partition(geometry._project_to_lines(pts, lines.lines, labels), lines, labels)
+    dist = np.sqrt(np.min(sq, axis=1))
     return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * PEEL_CONSTANT / peel.layer_index)
 
 

@@ -21,12 +21,13 @@ EXACT_LINES_MAX_N = 12
 # Sampled starts tried besides the z = 2 solution when z != 2.
 _SUBSPACE_CANDIDATES = 30
 _FLAT_ANCHORS = 10
-# method="auto" enumerates partitions only up to this n, for both problems.
-# Every distinct block needs its own center solve (up to 2^n of them), which
-# for z != 2 is an iterative one: at z = 1, k = 3 an exact solve took about
-# 2 s at n = 12 and 5 s at n = 14 on a 2-core host, against 0.1-0.3 s for the
-# heuristic.  So the clustering enumerator accepts n <= EXACT_CLUSTERING_MAX_N
-# when asked for, but auto stops at 12.
+# method="auto" enumerates partitions only at z = 2 and up to this n, for
+# both problems.  The line enumerator supports z = 2 alone.  The clustering
+# one needs a center solve per distinct block (up to 2^n of them), which for
+# z != 2 is an iterative one: at n = 12, k = 3 an exact solve took 2-3 s at
+# z = 1 and 0.4-0.5 s at z = 1.3 on a 2-core host, against 0.15 s and 0.06 s
+# for the heuristic at the same cost.  method="exact" still enumerates at any z,
+# up to EXACT_CLUSTERING_MAX_N.
 _AUTO_EXACT_MAX_N = 12
 
 
@@ -556,26 +557,27 @@ def solve_lines_heuristic(data, k, z, restarts=20, seed=0):
     return _best_of_restarts("lines", data, z, restarts, fit, "alternating-multirestart")
 
 
-def _use_exact(method, data, exact_ok=True):
+def _use_exact(method, data, z):
     """Whether ``method`` routes this solve to the exact enumerator.
 
-    "auto" goes exact only where the enumerator supports the objective and
-    n <= _AUTO_EXACT_MAX_N; "exact" always does, up to the solver's own limit.
+    "auto" goes exact only at z = 2 and n <= _AUTO_EXACT_MAX_N; "exact"
+    always does, up to the solver's own limit.
     """
     if method not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown method {method!r}")
     n = geometry._points_of(data).shape[0]
-    return method == "exact" or (method == "auto" and exact_ok and n <= _AUTO_EXACT_MAX_N)
+    return method == "exact" or (method == "auto" and float(z) == 2.0
+                                 and n <= _AUTO_EXACT_MAX_N)
 
 
 def solve_lines(data, k, z, restarts=20, seed=0, method="auto"):
-    if _use_exact(method, data, exact_ok=float(z) == 2.0):
+    if _use_exact(method, data, z):
         return solve_lines_exact(data, k, z)
     return solve_lines_heuristic(data, k, z, restarts=restarts, seed=seed)
 
 
 def solve_clustering(data, k, z, restarts=20, seed=0, method="auto"):
-    if _use_exact(method, data):
+    if _use_exact(method, data, z):
         return solve_clustering_exact(data, k, z)
     return solve_clustering_heuristic(data, k, z, restarts=restarts, seed=seed)
 

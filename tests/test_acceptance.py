@@ -77,12 +77,7 @@ def test_criterion_02_sensitivity_bound_audit():
                 prof = sensitivity.flat_sensitivity(data, sol, z)
             else:
                 sol = solvers.solve_lines_exact(data, k, z).solution
-                labels = geometry.assignment("lines", data, sol)
-                assign = [sol.lines[i] for i in labels]
-                proj = np.stack([geometry.project_line(p, ln)
-                                 for p, ln in zip(pts, assign)])
-                peel = coreset.peel_partition(proj, assign, k)
-                prof = sensitivity.line_sensitivity(data, sol, z, peel)
+                prof = sensitivity.line_sensitivity(data, sol, z)
             for _ in range(1000):
                 cand = random_solution(problem, pts, k, rng)
                 cpow = geometry.cost_pow(problem, data, cand, z)
@@ -220,13 +215,11 @@ def test_criterion_07_projection_commutation():
         steps = rng.normal(0, 4, n)
         y = np.stack([lines[g].anchor + s * lines[g].direction
                       for g, s in zip(labels, steps)])
-        assign = [lines[g] for g in labels]
-        before = coreset.line_coreset_klines(y, assign, k)
+        before = coreset.line_coreset_klines(y, LineSet(lines), labels)
         mat = rng.normal(size=(t, d))
         proj_lines = [Line.canonical(mat @ ln.anchor, mat @ ln.direction)
                       for ln in lines]
-        after = coreset.line_coreset_klines(
-            y @ mat.T, [proj_lines[g] for g in labels], k)
+        after = coreset.line_coreset_klines(y @ mat.T, LineSet(proj_lines), labels)
         npt.assert_array_equal(before, after)
     assert time.monotonic() - start < 30.0
 
@@ -238,7 +231,7 @@ def test_criterion_08_coreset_unbiasedness():
         data = Dataset(rng.normal(0, 2, (n, d)))
         rep = solvers.solve(problem, data, k, z, restarts=10, seed=0,
                             method="heuristic" if problem == "clustering" else "auto")
-        prof = cli._profile_for(problem, data, rep.solution, z, k)
+        prof = cli._profile_for(problem, data, rep.solution, z)
         true = geometry.cost_pow(problem, data, rep.solution, z)
         draws = np.empty(1000)
         for j in range(1000):

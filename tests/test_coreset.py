@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from projclust import geometry
-from projclust.geometry import Dataset, CenterSet, Line, project_line, cost_pow
+from projclust.geometry import Dataset, CenterSet, Line, LineSet, project_line, cost_pow
 from projclust.sensitivity import SensitivityProfile, clustering_sensitivity
 from projclust.coreset import (
     Coreset, sensitivity_sample,
@@ -212,14 +212,14 @@ def two_line_instance(rng, per_line=8):
     t2 = rng.normal(0, 3, per_line)
     pts = np.vstack([np.stack([t1, np.zeros(per_line)], axis=1),
                      np.stack([np.zeros(per_line), t2], axis=1)])
-    assignment = [l1] * per_line + [l2] * per_line
-    return pts, assignment, (l1, l2)
+    labels = np.repeat([0, 1], per_line)
+    return pts, labels, LineSet([l1, l2])
 
 
 def test_klines_matches_per_group_union():
     rng = np.random.default_rng(11)
-    pts, assign, (l1, l2) = two_line_instance(rng)
-    got = line_coreset_klines(pts, assign, 2)
+    pts, labels, lines = two_line_instance(rng)
+    got = line_coreset_klines(pts, lines, labels)
     g1 = line_coreset_1d(pts[:8], 2)
     g2 = line_coreset_1d(pts[8:], 2) + 8
     npt.assert_array_equal(got, np.sort(np.concatenate([g1, g2])))
@@ -227,24 +227,24 @@ def test_klines_matches_per_group_union():
 
 def test_klines_validation():
     rng = np.random.default_rng(12)
-    pts, assign, (l1, l2) = two_line_instance(rng)
+    pts, labels, lines = two_line_instance(rng)
     with pytest.raises(ValueError):
-        line_coreset_klines(pts, assign[:-1], 2)
+        line_coreset_klines(pts, lines, labels[:-1])
     with pytest.raises(ValueError):
-        line_coreset_klines(pts, assign, 1)          # two distinct lines, k=1
+        line_coreset_klines(pts, LineSet(lines.lines[:1]), labels)   # two lines used, k=1
     off = pts.copy()
     off[0, 1] = 0.5                                   # knock a point off its line
     with pytest.raises(ValueError):
-        line_coreset_klines(off, assign, 2)
+        line_coreset_klines(off, lines, labels)
     with pytest.raises(ValueError):
-        line_coreset_klines(pts, ["not a line"] * 16, 2)
+        line_coreset_klines(pts, ["not a line"] * 2, labels)
 
 
 def test_peeling_pairs_off_collinear_points():
     pos = np.arange(10.0)
     pts = np.stack([pos, np.zeros(10)], axis=1)
     ln = Line.canonical([0.0, 0.0], [1.0, 0.0])
-    part = peel_partition(pts, [ln] * 10, 1)
+    part = peel_partition(pts, LineSet([ln]), np.zeros(10, dtype=np.int64))
     assert len(part.layers) == 5
     npt.assert_array_equal(part.layers[0], [0, 9])
     npt.assert_array_equal(part.layers[1], [1, 8])
@@ -252,17 +252,16 @@ def test_peeling_pairs_off_collinear_points():
     npt.assert_array_equal(part.layer_index, [1, 2, 3, 4, 5, 5, 4, 3, 2, 1])
 
 
-def reference_peel(pts, assignment, k):
-    """Peeling as a per-layer loop that regroups the Line objects each layer."""
-    assignment = list(assignment)
+def reference_peel(pts, lines, labels):
+    """Peeling as a per-layer loop of k-line coresets of the remaining points."""
+    labels = np.asarray(labels)
     n = pts.shape[0]
-    if len(assignment) != n:
-        raise ValueError("assignment length must match the number of points")
+    if labels.shape != (n,):
+        raise ValueError("labels must hold one entry per point")
     remaining = np.arange(n, dtype=np.int64)
     layers = []
     while remaining.size:
-        local = line_coreset_klines(pts[remaining],
-                                    [assignment[i] for i in remaining], k)
+        local = line_coreset_klines(pts[remaining], lines, labels[remaining])
         layers.append(remaining[local])
         remaining = np.setdiff1d(remaining, layers[-1], assume_unique=True)
     return PeelingPartition(layers, n)
@@ -282,12 +281,11 @@ def test_peel_partition_matches_per_layer_reference(k):
     rng = np.random.default_rng(40 + k)
     for _ in range(6):
         pts, lines, labels = points_on_lines(rng, k, int(rng.integers(5, 120)))
-        shared = [lines[j] for j in labels]
-        copies = [Line(lines[j].anchor.copy(), lines[j].direction.copy())
-                  for j in labels]
-        for assign in (shared, copies):
-            want = reference_peel(pts, assign, k)
-            got = peel_partition(pts, assign, k)
+        shared = LineSet(lines)
+        padded = LineSet(lines + [Line(lines[0].anchor.copy(), lines[0].direction.copy())])
+        for ls in (shared, padded):
+            want = reference_peel(pts, ls, labels)
+            got = peel_partition(pts, ls, labels)
             assert len(got.layers) == len(want.layers)
             for a, b in zip(got.layers, want.layers):
                 npt.assert_array_equal(a, b)
@@ -296,19 +294,34 @@ def test_peel_partition_matches_per_layer_reference(k):
 
 def test_peel_partition_refusals_match_reference():
     rng = np.random.default_rng(14)
-    pts, assign, _ = two_line_instance(rng)
+    pts, labels, lines = two_line_instance(rng)
     off = pts.copy()
     off[0, 1] = 0.5
-    cases = [(pts, assign[:-1], 2),                    # length mismatch
-             (pts, assign, 1),                         # two lines, k = 1
-             (off, assign, 2),                         # a point off its line
-             (pts, assign[:3] + ["not a line"] + assign[4:], 2)]
-    for y, a, k in cases:
+    cases = [(pts, lines, labels[:-1]),                # length mismatch
+             (pts, LineSet(lines.lines[:1]), labels),  # two lines, k = 1
+             (off, lines, labels),                     # a point off its line
+             (pts, lines, labels.astype(np.float64))]
+    for y, ls, lab in cases:
         with pytest.raises(ValueError) as want:
-            reference_peel(y, a, k)
+            reference_peel(y, ls, lab)
         with pytest.raises(ValueError) as got:
-            peel_partition(y, a, k)
+            peel_partition(y, ls, lab)
         assert str(got.value) == str(want.value)
+
+
+def test_label_refusal_messages():
+    rng = np.random.default_rng(16)
+    pts, labels, lines = two_line_instance(rng)
+    cases = [(lines, labels[:-1], "labels must hold one entry per point"),
+             (lines, np.where(labels == 1, 2, 0), "labels must lie in [0, 2)"),
+             (lines, labels - 1, "labels must lie in [0, 2)"),
+             (lines, labels.astype(np.float64), "labels must be integers"),
+             (list(lines.lines), labels, "lines must be a LineSet")]
+    for ls, lab, msg in cases:
+        for fn in (peel_partition, line_coreset_klines):
+            with pytest.raises(ValueError) as err:
+                fn(pts, ls, lab)
+            assert str(err.value) == msg
 
 
 def test_canonical_order_tie_break():
@@ -361,10 +374,9 @@ def test_klines_commutes_with_linear_map():
         params = rng.normal(0, 3, (2, 9))
         pts = np.vstack([ln.anchor + np.multiply.outer(params[j], ln.direction)
                          for j, ln in enumerate(lines)])
-        assign = [lines[0]] * 9 + [lines[1]] * 9
+        labels = np.repeat([0, 1], 9)
         pi = rng.normal(size=(t, d))
         proj_lines = [Line.canonical(pi @ ln.anchor, pi @ ln.direction) for ln in lines]
-        proj_assign = [proj_lines[0]] * 9 + [proj_lines[1]] * 9
-        before = line_coreset_klines(pts, assign, 2)
-        after = line_coreset_klines(pts @ pi.T, proj_assign, 2)
+        before = line_coreset_klines(pts, LineSet(lines), labels)
+        after = line_coreset_klines(pts @ pi.T, LineSet(proj_lines), labels)
         npt.assert_array_equal(before, after)

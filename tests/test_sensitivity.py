@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,8 +7,9 @@ import pytest
 from projclust import geometry
 from projclust.geometry import Dataset, CenterSet, Subspace, Flat, Line, LineSet
 from projclust.jl import sample_jl, identity_map
+from projclust.coreset import _coreset_1d
 from projclust.sensitivity import (
-    SensitivityProfile,
+    PEEL_CONSTANT, SensitivityProfile, _profile,
     clustering_sensitivity, subspace_sensitivity, flat_sensitivity,
     line_sensitivity, sup_ratio, sup_ratios,
     event_e4_statistic, event_e4_bound,
@@ -155,6 +158,28 @@ def test_sup_ratio_ascent_matches_grid(z):
         npt.assert_allclose(a, g, rtol=0.02, atol=1e-9)
 
 
+def test_sup_ratio_grid_matches_one_shot_grid():
+    rng = np.random.default_rng(17)
+    theta = np.linspace(0.0, np.pi, 100_000, endpoint=False)
+    u = np.stack([np.cos(theta), np.sin(theta)])
+    for z in (1.0, 1.3, 3.0):
+        y = rng.normal(size=(int(rng.integers(2, 12)), 2))
+        a = np.abs(geometry._points_of(y) @ geometry._orthonormal_rows(y).T @ u) ** z
+        want = np.max(a / np.sum(a, axis=0), axis=1)
+        assert sup_ratios(y, z, method="grid").tobytes() == want.tobytes()
+
+
+def test_sup_ratio_grid_memory_is_bounded():
+    y = np.random.default_rng(18).normal(size=(50, 2))
+    tracemalloc.start()
+    try:
+        sup_ratios(y, 1.3, method="grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
 def test_sup_ratio_method_errors():
     y = np.eye(3)
     with pytest.raises(ValueError):
@@ -217,27 +242,68 @@ def test_flat_translation_invariance():
 def test_line_sensitivity_layers():
     ln = Line.canonical([0.0, 0.0], [1.0, 0.0])
     x = Dataset([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    peel = [np.array([0, 3]), np.array([1, 2])]
-    prof = line_sensitivity(x, LineSet([ln]), 2, peel)
+    prof = line_sensitivity(x, LineSet([ln]), 2)
     npt.assert_allclose(prof.sigma, [24.0, 12.0, 12.0, 24.0], atol=1e-12)
 
 
 def test_line_sensitivity_single_off_point():
     ln = Line.canonical([0.0, 0.0], [1.0, 0.0])
-    prof = line_sensitivity(Dataset([[0.0, 5.0]]), LineSet([ln]), 2, [[0]])
+    prof = line_sensitivity(Dataset([[0.0, 5.0]]), LineSet([ln]), 2)
     assert prof.sigma[0] == pytest.approx(2.0 + 8.0 * 3.0, abs=1e-12)
 
 
-def test_line_sensitivity_peel_validation():
-    ln = Line.canonical([0.0, 0.0], [1.0, 0.0])
-    x = Dataset([[0.0, 0.0], [1.0, 0.0]])
-    ls = LineSet([ln])
-    with pytest.raises(ValueError):
-        line_sensitivity(x, ls, 2, [[0]])             # incomplete
-    with pytest.raises(ValueError):
-        line_sensitivity(x, ls, 2, [[0, 1], [1]])     # overlap
-    with pytest.raises(ValueError):
-        line_sensitivity(x, ls, 2, [[0, 1, 2]])       # out of range
+def long_way_line_profile(data, lines, z):
+    """The lines profile built the long way: nearest-line labels, a per-point
+    Line list regrouped by ``==`` in first-seen order, the projections peeled
+    layer by layer with k = lines.k, then the shared profile shape."""
+    pts = data.points
+    n, k = pts.shape[0], lines.k
+    labels = geometry.assignment("lines", data, lines)
+    assign = [lines.lines[i] for i in labels]
+    proj = geometry._project_to_lines(pts, lines.lines, labels)
+    groups, group_of = [], np.empty(n, dtype=np.int64)
+    for i, ln in enumerate(assign):
+        for j, g in enumerate(groups):
+            if g == ln:
+                break
+        else:
+            j = len(groups)
+            groups.append(ln)
+        group_of[i] = j
+    layer_index = np.zeros(n)
+    remaining = np.arange(n)
+    depth = 0
+    while remaining.size:
+        depth += 1
+        layer = []
+        for j, ln in enumerate(groups):
+            idxs = remaining[group_of[remaining] == j]
+            if idxs.size:
+                pos = (proj[idxs] - ln.anchor) @ ln.direction
+                layer.append(idxs[_coreset_1d(pos, k)])
+        layer = np.concatenate(layer)
+        layer_index[layer] = depth
+        remaining = np.setdiff1d(remaining, layer, assume_unique=True)
+    dist = geometry.distances("lines", data, lines)
+    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * PEEL_CONSTANT / layer_index)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_line_sensitivity_matches_long_way(k):
+    rng = np.random.default_rng(30 + k)
+    for trial in range(4):
+        n, d = int(rng.integers(5, 80)), int(rng.integers(2, 5))
+        lines = [Line.through(rng.normal(size=d), rng.normal(size=d)) for _ in range(k)]
+        if trial % 2:
+            lines.append(lines[0])          # repeated line, as exact-solver padding
+        ls = LineSet(lines)
+        owner = rng.integers(k, size=n)
+        pts = np.stack([lines[j].anchor + rng.normal(0, 3) * lines[j].direction
+                        for j in owner]) + rng.normal(0, 0.3, (n, d))
+        for z in (1.0, 1.3, 2.0):
+            got = line_sensitivity(Dataset(pts), ls, z)
+            want = long_way_line_profile(Dataset(pts), ls, z)
+            assert got.sigma.tobytes() == want.sigma.tobytes()
 
 
 def test_sensitivities_refuse_the_wrong_shape_type():
@@ -251,7 +317,7 @@ def test_sensitivities_refuse_the_wrong_shape_type():
     with pytest.raises(ValueError, match="flat expects a Flat"):
         flat_sensitivity(x, Subspace([[1.0, 0.0]]), 2)
     with pytest.raises(ValueError, match="lines expects a LineSet"):
-        line_sensitivity(x, centers, 2, [[0, 1]])
+        line_sensitivity(x, centers, 2)
     with pytest.raises(ValueError, match="data dimension 2 != solution dimension 3"):
         flat_sensitivity(x, Flat(Subspace([[1.0, 0.0, 0.0]]), [0.0, 0.0, 0.0]), 2)
 

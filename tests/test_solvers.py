@@ -385,6 +385,13 @@ def test_clustering_dispatcher_methods():
         solve_clustering(x, 2, 2, method="annealing")
 
 
+def test_clustering_auto_goes_exact_at_z2_only():
+    x = Dataset(np.random.default_rng(10).normal(size=(12, 2)))
+    assert solve_clustering(x, 3, 1).method == "lloyd-multirestart"
+    assert solve_clustering(x, 3, 1.3).method == "lloyd-multirestart"
+    assert solve_clustering(x, 3, 2).method == "partition-enumeration"
+
+
 # ---------------------------------------------------------------------------
 # Subspace
 
