@@ -95,8 +95,9 @@ def clustering_sensitivity(data, centers, z):
     """
     z = geometry._check_z(z)
     pts = geometry._checked_points("clustering", data, centers)
-    assign = geometry.assignment("clustering", pts, centers)
-    dist = geometry.distances("clustering", pts, centers)
+    sq = geometry._sq_dists_to_centers(pts, centers.centers)
+    assign = np.argmin(sq, axis=1)
+    dist = np.sqrt(np.min(sq, axis=1))
     sizes = np.bincount(assign, minlength=centers.k)
     return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) / sizes[assign])
 
@@ -216,9 +217,7 @@ def _sup_ratio_ascent(p, i, z, restarts=16, iters=200, tol=1e-4):
     for _ in range(iters):
         a = p @ w.T                                   # (n, m)
         absa = np.abs(a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = z * np.sign(a) * absa ** (z - 1.0)    # d|a|^z/da
-        s = np.nan_to_num(s)
+        s = z * np.sign(a) * absa ** (z - 1.0)        # d|a|^z/da; finite for z >= 1
         az = absa ** z
         denom = np.sum(az, axis=0)
         numer = az[i]

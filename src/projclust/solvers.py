@@ -1,13 +1,14 @@
 """Reference solvers for the four problem families.
 
-Small instances get exact answers (enumeration with pruning for the
-discrete problems, closed forms for the z = 2 continuous ones); everything
-else is served by deterministic multi-restart local search.  Every solver
-returns a :class:`SolveReport` whose stated cost is re-evaluated through
-:func:`projclust.geometry.cost_pow`, so reports are comparable across
-methods.
-
-All solvers accept a Dataset or a WeightedSet.
+:func:`solve` is the one public solver.  It checks the problem, ``method``,
+``k``, ``z``, ``restarts`` and ``seed`` once, reads the points and weights of
+a Dataset, WeightedSet or raw array, and hands them to a private body that
+keeps only its own limits.  Clustering and lines get exact answers by
+partition enumeration at small n and deterministic multi-restart local search
+otherwise; subspace and flat use their closed form at z = 2 and descent at any
+other z, whatever the method.  Every solve returns a :class:`SolveReport`
+whose stated cost is re-evaluated through :func:`projclust.geometry.cost_pow`,
+so reports are comparable across methods.
 """
 
 import numpy as np
@@ -55,13 +56,6 @@ def _report(problem, data, solution, z, method, restarts, converged):
     return SolveReport(solution, cp ** (1.0 / z), cp, method, restarts, converged)
 
 
-def _data_arrays(data):
-    pts = geometry._points_of(data)
-    if isinstance(data, WeightedSet):
-        return pts, data.weights
-    return pts, np.ones(pts.shape[0])
-
-
 # ---------------------------------------------------------------------------
 # Single-center subproblem
 
@@ -96,13 +90,14 @@ def _weiszfeld(pts, w, max_iter=10_000, tol=1e-10):
 
 
 def _descend(x, cost, grad, move, max_iter, tol):
-    """Backtracking gradient descent from ``x``; returns (x, cost(x)).
+    """Backtracking gradient descent from ``x``; returns (x, cost(x), converged).
 
     ``move(x, g, gnorm, step)`` is the candidate one step of size ``step``
     against the gradient ``g`` (of norm ``gnorm``) reaches.  A candidate that
     does not lower the cost halves the step, up to 40 times; an accepted one
     grows it by 1.5.  Stops at a zero gradient, when no step helps, or when
-    the relative gain falls below ``tol``.
+    the relative gain falls below ``tol``; ``converged`` is False only when
+    ``max_iter`` steps ran out first.
     """
     val = cost(x)
     step = 1.0
@@ -110,7 +105,7 @@ def _descend(x, cost, grad, move, max_iter, tol):
         g = grad(x)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
-            break
+            return x, val, True
         for _ in range(40):
             cand = move(x, g, gnorm, step)
             cval = cost(cand)
@@ -118,12 +113,12 @@ def _descend(x, cost, grad, move, max_iter, tol):
                 break
             step *= 0.5
         else:               # no step lowered the cost
-            break
+            return x, val, True
         x, old, val = cand, val, cval
         step *= 1.5
         if old - val < tol * max(val, 1e-300):
-            break
-    return x, val
+            return x, val, True
+    return x, val, False
 
 
 def _descent_center(pts, w, z, max_iter=500, tol=1e-8):
@@ -255,19 +250,14 @@ def _best_of_restarts(problem, data, z, restarts, fit, method):
 # Clustering
 
 
-def solve_clustering_exact(data, k, z):
+def _clustering_exact(data, pts, w, k, z):
     """Optimal power-z clustering by canonical partition enumeration.
 
     Branch-and-bound over set partitions into at most k blocks; partial
     costs only grow as points join blocks, so subtrees above the incumbent
     are pruned.  Refuses n > EXACT_CLUSTERING_MAX_N.
     """
-    pts, w = _data_arrays(data)
-    n, d = pts.shape
-    k = int(k)
-    z = geometry._check_z(z)
-    if k < 1:
-        raise ValueError("k must be positive")
+    n = pts.shape[0]
     if n > EXACT_CLUSTERING_MAX_N:
         raise ValueError(
             f"exact clustering is limited to n <= {EXACT_CLUSTERING_MAX_N}, got n = {n}")
@@ -306,21 +296,14 @@ def _dz_seed(pts, w, k, z, rng):
     return np.vstack(centers)
 
 
-def solve_clustering_heuristic(data, k, z, restarts=20, seed=0):
+def _lloyd(data, pts, w, k, z, restarts, seed):
     """Generalized Lloyd iteration with cost-proportional seeding.
 
     Restart r draws its seeding from stream r of ``seed``, so results are
     reproducible and independent of evaluation order.  Empty clusters are
     re-seeded from the point with the largest current distance.
     """
-    pts, w = _data_arrays(data)
-    n, d = pts.shape
-    k = int(k)
-    z = geometry._check_z(z)
-    restarts = int(restarts)
-    if k < 1 or restarts < 1:
-        raise ValueError("k and restarts must be positive")
-    if k >= n:
+    if k >= pts.shape[0]:
         sol = CenterSet(pts)
         return _report("clustering", data, sol, z, "lloyd-multirestart", restarts, True)
 
@@ -370,19 +353,17 @@ def _grassmann_descent(pts, w, basis, z, max_iter=200, tol=1e-8):
                     retract, max_iter, tol)
 
 
-def solve_subspace(data, k, z):
+def _subspace(data, pts, w, k, z):
     """Best k-dimensional linear subspace.
 
     Exact for z = 2 (top singular directions).  For other z, spans of
     sampled k-point subsets plus the z = 2 solution are scored and the best
     few are polished by gradient descent over orthonormal frames; this is a
-    heuristic with no optimality guarantee.
+    heuristic with no optimality guarantee.  ``converged`` is that of the
+    winning descent.
     """
-    pts, w = _data_arrays(data)
     n, d = pts.shape
-    k = int(k)
-    z = geometry._check_z(z)
-    if not 1 <= k < d:
+    if k >= d:
         raise ValueError("need 1 <= k < d (a full-dimensional subspace is trivial)")
     svd_basis = _weighted_pca_basis(pts, w, k)
     if z == 2.0:
@@ -399,15 +380,15 @@ def solve_subspace(data, k, z):
             basis = filler
         pool.append(basis[:k])
     scored = sorted(pool, key=lambda b: _subspace_cost(pts, w, b, z))
-    best_b, best_v = None, np.inf
+    best_b, best_v, converged = None, np.inf, False
     for b in scored[:3]:
-        rb, rv = _grassmann_descent(pts, w, b, z)
+        rb, rv, rc = _grassmann_descent(pts, w, b, z)
         if rv < best_v:
-            best_b, best_v = rb, rv
+            best_b, best_v, converged = rb, rv, rc
     sol = Subspace(geometry._orthonormal_rows(best_b))
     if sol.dim < k:   # guard against a rank drop during refinement
         sol = Subspace(_weighted_pca_basis(pts, w, k))
-    return _report("subspace", data, sol, z, "span-search+descent", 0, True)
+    return _report("subspace", data, sol, z, "span-search+descent", 0, converged)
 
 
 def _complement_basis(basis, d):
@@ -416,20 +397,18 @@ def _complement_basis(basis, d):
     return q[:, basis.shape[0]:].T
 
 
-def solve_flat(data, k, z):
+def _flat(data, pts, w, k, z):
     """Best k-dimensional affine flat.
 
     Exact for z = 2: the flat through the weighted centroid spanned by the
     top principal directions.  For other z, alternates an optimal
     translation (a single-center problem in the orthogonal complement) with
     direction descent, starting from the z = 2 solution and a few sampled
-    anchors.
+    anchors.  ``converged`` says whether the winning alternation met its
+    relative tolerance within its 10 rounds.
     """
-    pts, w = _data_arrays(data)
     n, d = pts.shape
-    k = int(k)
-    z = geometry._check_z(z)
-    if not 1 <= k < d:
+    if k >= d:
         raise ValueError("need 1 <= k < d (a full-dimensional flat is trivial)")
     centroid = np.average(pts, axis=0, weights=w)
     pca = _weighted_pca_basis(pts - centroid, w, k)
@@ -439,27 +418,27 @@ def solve_flat(data, k, z):
 
     rng = np.random.default_rng(0)
     anchors = [centroid] + [pts[int(rng.integers(n))] for _ in range(_FLAT_ANCHORS)]
-    best = (np.inf, None)
+    best = (np.inf, None, False)
     for anchor in anchors:
         basis = pca
         point = anchor
         val = np.inf
         for _ in range(10):
-            basis, _ = _grassmann_descent(pts - point, w, basis, z, max_iter=60)
+            basis = _grassmann_descent(pts - point, w, basis, z, max_iter=60)[0]
             comp = _complement_basis(basis, d)
             coords = pts @ comp.T
             tau_c = opt_center(coords, z, w)
             point = tau_c @ comp
             new_val = _subspace_cost(pts - point, w, basis, z)
-            if val - new_val < 1e-8 * max(new_val, 1e-300):
-                val = new_val
-                break
+            converged = val - new_val < 1e-8 * max(new_val, 1e-300)
             val = new_val
+            if converged:
+                break
         if val < best[0]:
-            best = (val, (basis, point))
+            best = (val, (basis, point), converged)
     basis, point = best[1]
     sol = Flat.from_point(Subspace(geometry._orthonormal_rows(basis)), point)
-    return _report("flat", data, sol, z, "alternating-descent", 0, True)
+    return _report("flat", data, sol, z, "alternating-descent", 0, best[2])
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +469,16 @@ def _line_through(p, q, fallback_dir):
     return Line.through(p, q)
 
 
-def solve_lines_exact(data, k, z):
+def _lines_exact(data, pts, w, k, z):
     """Optimal k-line solution for z = 2 by partition enumeration.
 
     Each block of a partition gets its exact least-squares line, so the best
     partition yields the optimum.  Restricted to z = 2 (other powers have no
     closed-form per-block fit) and n <= EXACT_LINES_MAX_N.
     """
-    pts, w = _data_arrays(data)
     n, d = pts.shape
-    k = int(k)
-    z = geometry._check_z(z)
     if z != 2.0:
         raise ValueError("exact line solving is available for z = 2 only")
-    if k < 1:
-        raise ValueError("k must be positive")
     if n > EXACT_LINES_MAX_N:
         raise ValueError(f"exact line solving is limited to n <= {EXACT_LINES_MAX_N}, got n = {n}")
     fallback = _default_dir(d)
@@ -529,20 +503,14 @@ def solve_lines_exact(data, k, z):
     return _report("lines", data, sol, z, "partition-enumeration", 0, True)
 
 
-def solve_lines_heuristic(data, k, z, restarts=20, seed=0):
+def _lines_alternating(data, pts, w, k, z, restarts, seed):
     """Alternating assign/refit search for k lines with random restarts.
 
     Refits use the least-squares line per group (exact for z = 2, a
     reasonable surrogate otherwise); empty groups are re-seeded at the
     worst-served point.
     """
-    pts, w = _data_arrays(data)
     n, d = pts.shape
-    k = int(k)
-    z = geometry._check_z(z)
-    restarts = int(restarts)
-    if k < 1 or restarts < 1:
-        raise ValueError("k and restarts must be positive")
     fallback = _default_dir(d)
 
     def fit(r):
@@ -557,39 +525,45 @@ def solve_lines_heuristic(data, k, z, restarts=20, seed=0):
     return _best_of_restarts("lines", data, z, restarts, fit, "alternating-multirestart")
 
 
-def _use_exact(method, data, z):
-    """Whether ``method`` routes this solve to the exact enumerator.
+def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
+    """Solve ``problem`` on ``data``; the one public solver.
 
-    "auto" goes exact only at z = 2 and n <= _AUTO_EXACT_MAX_N; "exact"
-    always does, up to the solver's own limit.
+    ``data`` is a Dataset, WeightedSet or (n, d) array.  Every argument is
+    checked here, before any work: an unknown problem or method, k < 1,
+    z < 1, restarts < 1 or seed < 0 raises ValueError on every path.
+    ``method`` matters for clustering and lines only: "exact" enumerates
+    partitions (up to the enumerator's n cap), "heuristic" runs local search
+    from ``restarts`` starts, restart r seeded by stream r of ``seed``, and
+    "auto" enumerates only at z = 2 and n <= _AUTO_EXACT_MAX_N.  Subspace and
+    flat use their closed form at z = 2 and descent otherwise, whatever the
+    method.
     """
+    if problem not in geometry.PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}; expected one of {geometry.PROBLEMS}")
     if method not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown method {method!r}")
-    n = geometry._points_of(data).shape[0]
-    return method == "exact" or (method == "auto" and float(z) == 2.0
-                                 and n <= _AUTO_EXACT_MAX_N)
-
-
-def solve_lines(data, k, z, restarts=20, seed=0, method="auto"):
-    if _use_exact(method, data, z):
-        return solve_lines_exact(data, k, z)
-    return solve_lines_heuristic(data, k, z, restarts=restarts, seed=seed)
-
-
-def solve_clustering(data, k, z, restarts=20, seed=0, method="auto"):
-    if _use_exact(method, data, z):
-        return solve_clustering_exact(data, k, z)
-    return solve_clustering_heuristic(data, k, z, restarts=restarts, seed=seed)
-
-
-def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
-    """One entry point for all four problems; see the per-problem solvers."""
-    if problem == "clustering":
-        return solve_clustering(data, k, z, restarts=restarts, seed=seed, method=method)
+    k = int(k)
+    z = geometry._check_z(z)
+    restarts = int(restarts)
+    seed = int(seed)
+    if k < 1:
+        raise ValueError("k must be positive")
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    pts = geometry._points_of(data)
+    w = data.weights if isinstance(data, WeightedSet) else np.ones(pts.shape[0])
     if problem == "subspace":
-        return solve_subspace(data, k, z)
+        return _subspace(data, pts, w, k, z)
     if problem == "flat":
-        return solve_flat(data, k, z)
-    if problem == "lines":
-        return solve_lines(data, k, z, restarts=restarts, seed=seed, method=method)
-    raise ValueError(f"unknown problem {problem!r}; expected one of {geometry.PROBLEMS}")
+        return _flat(data, pts, w, k, z)
+    exact = method == "exact" or (method == "auto" and z == 2.0
+                                  and pts.shape[0] <= _AUTO_EXACT_MAX_N)
+    if problem == "clustering":
+        if exact:
+            return _clustering_exact(data, pts, w, k, z)
+        return _lloyd(data, pts, w, k, z, restarts, seed)
+    if exact:
+        return _lines_exact(data, pts, w, k, z)
+    return _lines_alternating(data, pts, w, k, z, restarts, seed)

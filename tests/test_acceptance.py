@@ -67,16 +67,16 @@ def test_criterion_02_sensitivity_bound_audit():
             pts = rng.normal(0, 2, (n, d))
             data = Dataset(pts)
             if problem == "clustering":
-                sol = solvers.solve_clustering_exact(data, k, z).solution
+                sol = solvers.solve("clustering", data, k, z, method="exact").solution
                 prof = sensitivity.clustering_sensitivity(data, sol, z)
             elif problem == "subspace":
-                sol = solvers.solve_subspace(data, k, z).solution
+                sol = solvers.solve("subspace", data, k, z).solution
                 prof = sensitivity.subspace_sensitivity(data, sol, z)
             elif problem == "flat":
-                sol = solvers.solve_flat(data, k, z).solution
+                sol = solvers.solve("flat", data, k, z).solution
                 prof = sensitivity.flat_sensitivity(data, sol, z)
             else:
-                sol = solvers.solve_lines_exact(data, k, z).solution
+                sol = solvers.solve("lines", data, k, z, method="exact").solution
                 prof = sensitivity.line_sensitivity(data, sol, z)
             for _ in range(1000):
                 cand = random_solution(problem, pts, k, rng)
@@ -309,7 +309,7 @@ def test_criterion_13_event_e4_frequency():
     good = 0
     for s in range(100):
         data = cli.make_gaussian_mixture(n, d, k, 1.0, rng_stream(13, s))
-        rep = solvers.solve_clustering_heuristic(data, k, z, restarts=5, seed=0)
+        rep = solvers.solve("clustering", data, k, z, restarts=5, seed=0, method="heuristic")
         prof = sensitivity.clustering_sensitivity(data, rep.solution, z)
         pi = jl.sample_jl(d, t, seed=13, stream=1000 + s)
         stat = sensitivity.event_e4_statistic(data, rep.solution, pi, z, prof)

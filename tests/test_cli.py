@@ -113,6 +113,16 @@ def test_solve_each_problem_writes_solution(tmp_path):
         assert geometry.read_points(str(sol)).size > 0
 
 
+@pytest.mark.parametrize("problem", geometry.PROBLEMS)
+def test_solve_refuses_bad_restarts_for_every_problem(tmp_path, capsys, problem):
+    src = tmp_path / "s.txt"
+    main(["gen", "--kind", "gaussian-mixture", "--n", "20", "--d", "4",
+          "--k", "2", "--out", str(src)])
+    assert main(["solve", "--in", str(src), "--problem", problem, "--k", "2",
+                 "--restarts", "0", "--out", str(tmp_path / "sol.txt")]) == 2
+    assert "restarts must be positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # coreset
 
@@ -346,3 +356,23 @@ def test_parser_rejects_garbage():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_public_api_is_pinned():
+    # the public API's size is tracked; change this list only on purpose
+    assert projclust.__all__ == [
+        "PROBLEMS", "Dataset", "WeightedSet", "CenterSet", "Subspace", "Flat",
+        "Line", "LineSet", "project_subspace", "project_flat", "project_line",
+        "distances", "assignment", "cost_pow", "cost", "read_dataset",
+        "JLMap", "sample_jl", "identity_map", "apply", "moment_bound_statistic",
+        "moment_bound_threshold", "is_subspace_embedding", "distortion_range",
+        "SensitivityProfile", "clustering_sensitivity", "subspace_sensitivity",
+        "flat_sensitivity", "line_sensitivity", "sup_ratio", "sup_ratios",
+        "event_e4_statistic", "event_e4_bound",
+        "Coreset", "sensitivity_sample", "line_coreset_1d", "line_coreset_klines",
+        "coreset_size_bound", "PeelingPartition", "peel_partition",
+        "SolveReport", "solve",
+        "gen_medoid_instance", "gen_css_instance", "medoid_cost", "css_cost",
+        "counterexample_trial", "preset_t",
+    ]
+    assert all(hasattr(projclust, name) for name in projclust.__all__)

@@ -9,11 +9,7 @@ from scipy.optimize import minimize_scalar
 from projclust import geometry
 from projclust.geometry import Dataset, WeightedSet, CenterSet, Subspace, Flat, Line, LineSet
 from projclust.solvers import (
-    SolveReport, opt_center,
-    solve_clustering_exact, solve_clustering_heuristic, solve_clustering,
-    solve_subspace, solve_flat,
-    solve_lines_exact, solve_lines_heuristic, solve_lines,
-    solve,
+    SolveReport, opt_center, solve,
     _best_partition, _descent_center, _grassmann_descent, _dz_seed, _subspace_cost,
 )
 
@@ -267,10 +263,19 @@ def test_grassmann_descent_matches_loop_reference(z, seed):
     w = rng.uniform(0.1, 3.0, 50)
     basis = geometry._orthonormal_rows(rng.normal(size=(2, 5)))
     for kwargs in ({}, {"max_iter": 60}):
-        got_b, got_v = _grassmann_descent(pts, w, basis, z, **kwargs)
+        got_b, got_v, _ = _grassmann_descent(pts, w, basis, z, **kwargs)
         want_b, want_v = ref_grassmann_descent(pts, w, basis, z, **kwargs)
         npt.assert_array_equal(got_b, want_b)
         assert got_v == want_v
+
+
+def test_descent_reports_running_out_of_steps():
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(50, 5)) * [3.0, 2.0, 1.0, 0.5, 0.2]
+    w = rng.uniform(0.1, 3.0, 50)
+    basis = geometry._orthonormal_rows(rng.normal(size=(2, 5)))
+    assert not _grassmann_descent(pts, w, basis, 1.3, max_iter=3)[2]
+    assert _grassmann_descent(pts, w, basis, 1.3)[2]
 
 
 @pytest.mark.parametrize("z", [1.3, 3.0])
@@ -294,7 +299,7 @@ def test_dz_seed_matches_loop_reference(z, seed):
 
 def test_exact_clustering_two_pairs():
     x = Dataset([[0.0], [1.0], [4.0], [5.0]])
-    rep = solve_clustering_exact(x, 2, 2)
+    rep = solve("clustering", x, 2, 2, method="exact")
     assert rep.cost_pow == pytest.approx(1.0, abs=1e-9)
     assert rep.cost == pytest.approx(1.0, abs=1e-9)
     npt.assert_allclose(np.sort(rep.solution.centers[:, 0]), [0.5, 4.5], atol=1e-12)
@@ -303,20 +308,20 @@ def test_exact_clustering_two_pairs():
 
 def test_exact_clustering_k_at_least_n():
     x = Dataset(np.random.default_rng(1).normal(size=(4, 2)))
-    assert solve_clustering_exact(x, 5, 2).cost_pow == 0.0
+    assert solve("clustering", x, 5, 2, method="exact").cost_pow == 0.0
 
 
 def test_exact_clustering_k1_is_centroid():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(8, 3))
-    rep = solve_clustering_exact(Dataset(pts), 1, 2)
+    rep = solve("clustering", Dataset(pts), 1, 2, method="exact")
     npt.assert_allclose(rep.solution.centers[0], pts.mean(axis=0), atol=1e-9)
     assert rep.cost_pow == pytest.approx(float(np.sum((pts - pts.mean(axis=0)) ** 2)), rel=1e-12)
 
 
 def test_exact_clustering_refuses_large_n():
     with pytest.raises(ValueError):
-        solve_clustering_exact(Dataset(np.zeros((15, 2))), 2, 2)
+        solve("clustering", Dataset(np.zeros((15, 2))), 2, 2, method="exact")
 
 
 @pytest.mark.parametrize("z", [1, 2, 3])
@@ -325,7 +330,7 @@ def test_exact_clustering_matches_brute_force_1d(z, seed):
     rng = np.random.default_rng(seed)
     n, k = 7, int(rng.integers(2, 4))
     xs = rng.normal(0, 3, n)
-    rep = solve_clustering_exact(Dataset(xs[:, None]), k, z)
+    rep = solve("clustering", Dataset(xs[:, None]), k, z, method="exact")
     assert rep.cost_pow == pytest.approx(brute_clustering_1d(list(xs), k, z), rel=1e-6, abs=1e-9)
 
 
@@ -333,7 +338,7 @@ def test_exact_clustering_matches_brute_force_1d(z, seed):
 def test_exact_clustering_matches_brute_force_z2_3d(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(0, 2, (7, 3))
-    rep = solve_clustering_exact(Dataset(pts), 3, 2)
+    rep = solve("clustering", Dataset(pts), 3, 2, method="exact")
     assert rep.cost_pow == pytest.approx(brute_clustering_z2(pts, 3), rel=1e-9, abs=1e-12)
 
 
@@ -343,8 +348,8 @@ def test_exact_clustering_weighted_matches_duplication():
     w = np.ones(6)
     w[0] = 3.0
     dup = np.vstack([pts, pts[0], pts[0]])
-    a = solve_clustering_exact(WeightedSet(pts, w), 2, 2)
-    b = solve_clustering_exact(Dataset(dup), 2, 2)
+    a = solve("clustering", WeightedSet(pts, w), 2, 2, method="exact")
+    b = solve("clustering", Dataset(dup), 2, 2, method="exact")
     assert a.cost_pow == pytest.approx(b.cost_pow, rel=1e-9)
 
 
@@ -356,8 +361,8 @@ def test_heuristic_clustering_matches_exact_usually():
         n = int(rng.integers(6, 10))
         k = int(rng.integers(2, 4))
         pts = rng.normal(0, 2, (n, 2))
-        exact = solve_clustering_exact(Dataset(pts), k, 2)
-        heur = solve_clustering_heuristic(Dataset(pts), k, 2, restarts=50, seed=t)
+        exact = solve("clustering", Dataset(pts), k, 2, method="exact")
+        heur = solve("clustering", Dataset(pts), k, 2, restarts=50, seed=t, method="heuristic")
         assert heur.cost_pow >= exact.cost_pow - 1e-9
         if heur.cost_pow <= exact.cost_pow * (1 + 1e-6) + 1e-12:
             matches += 1
@@ -367,29 +372,29 @@ def test_heuristic_clustering_matches_exact_usually():
 def test_heuristic_clustering_deterministic_and_monotone_in_restarts():
     rng = np.random.default_rng(8)
     x = Dataset(rng.normal(0, 2, (30, 3)))
-    a = solve_clustering_heuristic(x, 3, 2, restarts=10, seed=5)
-    b = solve_clustering_heuristic(x, 3, 2, restarts=10, seed=5)
+    a = solve("clustering", x, 3, 2, restarts=10, seed=5, method="heuristic")
+    b = solve("clustering", x, 3, 2, restarts=10, seed=5, method="heuristic")
     npt.assert_array_equal(a.solution.centers, b.solution.centers)
     assert a.cost_pow == b.cost_pow
-    more = solve_clustering_heuristic(x, 3, 2, restarts=30, seed=5)
+    more = solve("clustering", x, 3, 2, restarts=30, seed=5, method="heuristic")
     assert more.cost_pow <= a.cost_pow + 1e-12
 
 
 def test_clustering_dispatcher_methods():
     x = Dataset(np.random.default_rng(9).normal(size=(8, 2)))
-    assert solve_clustering(x, 2, 2).method == "partition-enumeration"
-    assert solve_clustering(x, 2, 2, method="heuristic").method == "lloyd-multirestart"
+    assert solve("clustering", x, 2, 2).method == "partition-enumeration"
+    assert solve("clustering", x, 2, 2, method="heuristic").method == "lloyd-multirestart"
     big = Dataset(np.random.default_rng(9).normal(size=(40, 2)))
-    assert solve_clustering(big, 2, 2).method == "lloyd-multirestart"
+    assert solve("clustering", big, 2, 2).method == "lloyd-multirestart"
     with pytest.raises(ValueError):
-        solve_clustering(x, 2, 2, method="annealing")
+        solve("clustering", x, 2, 2, method="annealing")
 
 
 def test_clustering_auto_goes_exact_at_z2_only():
     x = Dataset(np.random.default_rng(10).normal(size=(12, 2)))
-    assert solve_clustering(x, 3, 1).method == "lloyd-multirestart"
-    assert solve_clustering(x, 3, 1.3).method == "lloyd-multirestart"
-    assert solve_clustering(x, 3, 2).method == "partition-enumeration"
+    assert solve("clustering", x, 3, 1).method == "lloyd-multirestart"
+    assert solve("clustering", x, 3, 1.3).method == "lloyd-multirestart"
+    assert solve("clustering", x, 3, 2).method == "partition-enumeration"
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +402,7 @@ def test_clustering_auto_goes_exact_at_z2_only():
 
 
 def test_subspace_z2_basis_vectors():
-    rep = solve_subspace(Dataset(np.eye(3)), 2, 2)
+    rep = solve("subspace", Dataset(np.eye(3)), 2, 2)
     assert rep.cost_pow == pytest.approx(1.0, abs=1e-9)
     assert rep.method == "svd" and rep.converged
 
@@ -405,22 +410,22 @@ def test_subspace_z2_basis_vectors():
 def test_subspace_planted_rank_is_zero_cost():
     rng = np.random.default_rng(10)
     pts = rng.normal(size=(20, 2)) @ rng.normal(size=(2, 6))
-    rep = solve_subspace(Dataset(pts), 2, 2)
+    rep = solve("subspace", Dataset(pts), 2, 2)
     assert rep.cost_pow == pytest.approx(0.0, abs=1e-9)
 
 
 def test_subspace_rejects_full_dimension():
     with pytest.raises(ValueError):
-        solve_subspace(Dataset(np.eye(3)), 3, 2)
+        solve("subspace", Dataset(np.eye(3)), 3, 2)
     with pytest.raises(ValueError):
-        solve_subspace(Dataset(np.eye(3)), 0, 2)
+        solve("subspace", Dataset(np.eye(3)), 0, 2)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_subspace_z2_beats_direction_grid(k):
     rng = np.random.default_rng(11)
     pts = rng.normal(0, 2, (8, 3))
-    rep = solve_subspace(Dataset(pts), k, 2)
+    rep = solve("subspace", Dataset(pts), k, 2)
     dirs = fibonacci_sphere(50_000)
     proj_sq = (pts @ dirs.T) ** 2                      # (n, G)
     norms_sq = np.sum(pts * pts, axis=1)[:, None]
@@ -436,7 +441,7 @@ def test_subspace_z2_beats_direction_grid(k):
 def test_subspace_z1_close_to_direction_grid():
     rng = np.random.default_rng(12)
     pts = rng.normal(0, 2, (8, 3))
-    rep = solve_subspace(Dataset(pts), 1, 1)
+    rep = solve("subspace", Dataset(pts), 1, 1)
     dirs = fibonacci_sphere(100_000)
     proj_sq = (pts @ dirs.T) ** 2
     res = np.sqrt(np.maximum(np.sum(pts * pts, axis=1)[:, None] - proj_sq, 0.0))
@@ -451,7 +456,7 @@ def test_subspace_z1_close_to_direction_grid():
 
 def test_flat_z2_unit_square():
     square = Dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    rep = solve_flat(square, 1, 2)
+    rep = solve("flat", square, 1, 2)
     assert rep.cost_pow == pytest.approx(1.0, abs=1e-9)
     assert rep.method == "centered-svd"
 
@@ -461,16 +466,16 @@ def test_flat_planted_is_zero_cost():
     basis = geometry._orthonormal_rows(rng.normal(size=(2, 5)))
     shift = rng.normal(size=5)
     pts = rng.normal(size=(15, 2)) @ basis + shift
-    assert solve_flat(Dataset(pts), 2, 2).cost_pow == pytest.approx(0.0, abs=1e-8)
-    assert solve_flat(Dataset(pts), 2, 1).cost_pow == pytest.approx(0.0, abs=1e-6)
+    assert solve("flat", Dataset(pts), 2, 2).cost_pow == pytest.approx(0.0, abs=1e-8)
+    assert solve("flat", Dataset(pts), 2, 1).cost_pow == pytest.approx(0.0, abs=1e-6)
 
 
 def test_flat_translation_invariant_cost():
     rng = np.random.default_rng(14)
     pts = rng.normal(0, 2, (12, 4))
     v = rng.normal(0, 10, 4)
-    a = solve_flat(Dataset(pts), 2, 2)
-    b = solve_flat(Dataset(pts + v), 2, 2)
+    a = solve("flat", Dataset(pts), 2, 2)
+    b = solve("flat", Dataset(pts + v), 2, 2)
     assert a.cost_pow == pytest.approx(b.cost_pow, rel=1e-9, abs=1e-12)
 
 
@@ -478,10 +483,22 @@ def test_flat_z1_no_worse_than_z2_solution():
     rng = np.random.default_rng(15)
     pts = np.vstack([np.stack([np.linspace(0, 3, 6), np.zeros(6)], axis=1),
                      [[1.5, 5.0]]])
-    rep = solve_flat(Dataset(pts), 1, 1)
-    ref = solve_flat(Dataset(pts), 1, 2)
+    rep = solve("flat", Dataset(pts), 1, 1)
+    ref = solve("flat", Dataset(pts), 1, 2)
     ref_z1 = geometry.cost_pow("flat", Dataset(pts), ref.solution, 1)
     assert rep.cost_pow <= ref_z1 + 1e-9
+
+
+def test_flat_reports_alternation_round_cap():
+    # at seed 12 the winning z = 1 alternation is still improving after its
+    # 10 rounds; at seed 3 it meets its tolerance
+    capped = Dataset(np.random.default_rng(12).standard_t(2, size=(20, 4)))
+    settled = Dataset(np.random.default_rng(3).standard_t(2, size=(20, 4)))
+    assert not solve("flat", capped, 1, 1).converged
+    assert solve("flat", settled, 1, 1).converged
+    for x in (capped, settled):
+        assert solve("flat", x, 1, 2).converged
+        assert solve("subspace", x, 1, 2).converged
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +507,7 @@ def test_flat_z1_no_worse_than_z2_solution():
 
 def test_lines_exact_square_corners():
     square = Dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    rep = solve_lines_exact(square, 2, 2)
+    rep = solve("lines", square, 2, 2, method="exact")
     assert rep.cost_pow == pytest.approx(0.0, abs=1e-12)
 
 
@@ -499,9 +516,9 @@ def test_lines_exact_on_two_lines():
     t = rng.normal(0, 2, 10)
     pts = np.vstack([np.stack([t[:5], 2 * t[:5] + 1], axis=1),
                      np.stack([t[5:], -t[5:] + 4], axis=1)])
-    rep = solve_lines_exact(Dataset(pts), 2, 2)
+    rep = solve("lines", Dataset(pts), 2, 2, method="exact")
     assert rep.cost_pow == pytest.approx(0.0, abs=1e-9)
-    heur = solve_lines_heuristic(Dataset(pts), 2, 2, restarts=30, seed=0)
+    heur = solve("lines", Dataset(pts), 2, 2, restarts=30, seed=0, method="heuristic")
     assert heur.cost_pow <= 1e-6
 
 
@@ -509,16 +526,16 @@ def test_lines_exact_on_two_lines():
 def test_lines_exact_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(0, 2, (7, 2))
-    rep = solve_lines_exact(Dataset(pts), 2, 2)
+    rep = solve("lines", Dataset(pts), 2, 2, method="exact")
     assert rep.cost_pow == pytest.approx(brute_lines_z2(pts, 2), rel=1e-9, abs=1e-12)
 
 
 def test_lines_exact_validation():
     x = Dataset(np.random.default_rng(20).normal(size=(13, 2)))
     with pytest.raises(ValueError):
-        solve_lines_exact(x, 2, 2)
+        solve("lines", x, 2, 2, method="exact")
     with pytest.raises(ValueError):
-        solve_lines_exact(Dataset(np.zeros((4, 2))), 2, 1)
+        solve("lines", Dataset(np.zeros((4, 2))), 2, 1, method="exact")
 
 
 def test_lines_heuristic_reasonable_vs_exact():
@@ -526,8 +543,8 @@ def test_lines_heuristic_reasonable_vs_exact():
     ratios = []
     for t in range(10):
         pts = rng.normal(0, 2, (10, 2))
-        exact = solve_lines_exact(Dataset(pts), 2, 2)
-        heur = solve_lines_heuristic(Dataset(pts), 2, 2, restarts=30, seed=t)
+        exact = solve("lines", Dataset(pts), 2, 2, method="exact")
+        heur = solve("lines", Dataset(pts), 2, 2, restarts=30, seed=t, method="heuristic")
         assert heur.cost_pow >= exact.cost_pow - 1e-9
         ratios.append(heur.cost_pow / max(exact.cost_pow, 1e-300))
     assert np.median(ratios) <= 1.05
@@ -537,7 +554,7 @@ def test_lines_heuristic_reasonable_vs_exact():
 def test_lines_report_consistency():
     rng = np.random.default_rng(22)
     x = Dataset(rng.normal(size=(9, 3)))
-    rep = solve_lines(x, 2, 2)
+    rep = solve("lines", x, 2, 2)
     assert isinstance(rep.solution, LineSet) and rep.solution.k == 2
     assert rep.cost == pytest.approx(rep.cost_pow ** 0.5, rel=1e-12)
     assert rep.cost_pow == pytest.approx(
@@ -553,3 +570,20 @@ def test_solve_dispatcher():
     assert isinstance(solve("lines", x, 2, 2).solution, LineSet)
     with pytest.raises(ValueError):
         solve("medoids", x, 2, 2)
+
+
+@pytest.mark.parametrize("problem", geometry.PROBLEMS)
+def test_solve_refuses_bad_arguments_on_every_path(problem):
+    # n = 10 puts clustering and lines on the exact path under "auto"
+    x = Dataset(np.random.default_rng(24).normal(size=(10, 3)))
+    with pytest.raises(ValueError, match="unknown method"):
+        solve(problem, x, 2, 2, method="bogus")
+    for method in ("auto", "exact", "heuristic"):
+        for kwargs, msg in (({"k": 0}, "k must be positive"),
+                            ({"z": 0.5}, "z must be"),
+                            ({"restarts": 0}, "restarts must be positive"),
+                            ({"restarts": -5}, "restarts must be positive"),
+                            ({"seed": -1}, "seed must be non-negative")):
+            args = {"k": 2, "z": 2, **kwargs}
+            with pytest.raises(ValueError, match=msg):
+                solve(problem, x, args.pop("k"), args.pop("z"), method=method, **args)
