@@ -190,7 +190,8 @@ def line_coreset_klines(y, lines, labels):
     injective on each line.
     """
     pts = geometry._points_of(y)
-    return _klines(pts, lines, _checked_labels(lines, labels, pts.shape[0]))
+    groups = _line_groups(pts, lines, _checked_labels(lines, labels, pts.shape[0]))
+    return _klines(groups, np.ones(pts.shape[0], dtype=bool), lines.k)
 
 
 def _checked_labels(lines, labels, n):
@@ -208,20 +209,37 @@ def _checked_labels(lines, labels, n):
     return labels
 
 
-def _klines(pts, lines, labels):
-    """Sorted union of the per-line 1-d coresets; point i lies on
-    ``lines.lines[labels[i]]``.  Lines with no points are skipped."""
-    out = []
+def _line_groups(pts, lines, labels):
+    """Per line with points, in line order: the indices of its points and,
+    for each of them, the distance to the line, the norm and the position
+    along the line.  None of these depends on which other points are left,
+    so peeling computes them once."""
+    groups = []
     for j, ln in enumerate(lines.lines):
         idxs = np.flatnonzero(labels == j)
         if idxs.size == 0:
             continue
         sub = pts[idxs]
-        res = np.linalg.norm(sub - project_line(sub, ln), axis=1)
-        scale = max(1.0, float(np.max(np.linalg.norm(sub, axis=1))))
-        if float(np.max(res)) > _ONLINE_TOL * scale:
+        groups.append((idxs,
+                       np.linalg.norm(sub - project_line(sub, ln), axis=1),
+                       np.linalg.norm(sub, axis=1),
+                       (sub - ln.anchor) @ ln.direction))
+    return groups
+
+
+def _klines(groups, left, k):
+    """Sorted union of the per-line 1-d coresets of the points with ``left``
+    set; ``groups`` is :func:`_line_groups` of all the points.  Each line
+    checks its points left against the largest norm among them."""
+    out = []
+    for idxs, res, norms, pos in groups:
+        keep = left[idxs]
+        if not np.any(keep):
+            continue
+        scale = max(1.0, float(np.max(norms[keep])))
+        if float(np.max(res[keep])) > _ONLINE_TOL * scale:
             raise ValueError("a point does not lie on its assigned line")
-        out.append(idxs[_coreset_1d((sub - ln.anchor) @ ln.direction, lines.k)])
+        out.append(idxs[keep][_coreset_1d(pos[keep], k)])
     return np.sort(np.concatenate(out)).astype(np.int64, copy=False)
 
 
@@ -273,12 +291,10 @@ def peel_partition(y, lines, labels):
     """
     pts = geometry._points_of(y)
     n = pts.shape[0]
-    labels = _checked_labels(lines, labels, n)
-    remaining = np.arange(n, dtype=np.int64)
+    groups = _line_groups(pts, lines, _checked_labels(lines, labels, n))
+    left = np.ones(n, dtype=bool)
     layers = []
-    while remaining.size:
-        local = _klines(pts[remaining], lines, labels[remaining])
-        layer = remaining[local]
-        layers.append(layer)
-        remaining = np.setdiff1d(remaining, layer, assume_unique=True)
+    while np.any(left):
+        layers.append(_klines(groups, left, lines.k))
+        left[layers[-1]] = False
     return PeelingPartition(layers, n)

@@ -168,25 +168,40 @@ def is_subspace_embedding(pi, subspace, eps):
             and lo >= (1.0 + eps) ** -1 * (1.0 - _SV_SLACK))
 
 
+# Entries of one block of pair differences in :func:`distortion_range`.
+_PAIR_BLOCK = 1 << 17
+
+
 def distortion_range(pi, data):
     """All-pairs distance distortion of a finite point set.
 
     Returns (lo, hi): the smallest and largest value of
     ||Pi x - Pi y|| / ||x - y|| over pairs with x != y.  Requires at least
-    one distinct pair.
+    one distinct pair.  The pairs (i, j > i) are scanned a block of i at a
+    time, each block's pair differences held to about ``_PAIR_BLOCK``
+    entries, so memory stays O(n d) however many pairs there are.
     """
     pts = data.points if isinstance(data, geometry.Dataset) else np.asarray(data, dtype=np.float64)
     if pts.shape[1] != pi.d:
         raise ValueError(f"data dimension {pts.shape[1]} != map input dimension {pi.d}")
     proj = pts @ pi.matrix.T
-    iu = np.triu_indices(pts.shape[0], k=1)
-    orig = np.linalg.norm(pts[iu[0]] - pts[iu[1]], axis=1)
-    mask = orig > 0
-    if not np.any(mask):
+    n = pts.shape[0]
+    rows = max(1, _PAIR_BLOCK // max(n * max(pi.d, pi.t), 1))
+    cols = np.arange(n)
+    los, his = [], []
+    for a in range(0, n - 1, rows):
+        i, j = np.nonzero(cols[a:a + rows, None] < cols)
+        i += a
+        orig = np.linalg.norm(pts[i] - pts[j], axis=1)
+        mask = orig > 0
+        if np.any(mask):
+            new = np.linalg.norm(proj[i[mask]] - proj[j[mask]], axis=1)
+            ratio = new / orig[mask]
+            los.append(np.min(ratio))
+            his.append(np.max(ratio))
+    if not los:
         raise ValueError("need at least one pair of distinct points")
-    new = np.linalg.norm(proj[iu[0]][mask] - proj[iu[1]][mask], axis=1)
-    ratio = new / orig[mask]
-    return float(np.min(ratio)), float(np.max(ratio))
+    return float(np.min(los)), float(np.max(his))
 
 
 def is_bi_lipschitz(pi, data, eps):

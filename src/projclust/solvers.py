@@ -323,9 +323,13 @@ def _lloyd(data, pts, w, k, z, restarts, seed):
 
 
 def _weighted_pca_basis(pts, w, k):
-    """Top-k right singular directions of the sqrt-weighted point matrix."""
+    """Top-k right singular directions of the sqrt-weighted point matrix.
+
+    The thin SVD never builds the (n, n) left factor; only at n < k is the
+    full one needed, for V to have k rows.
+    """
     scaled = pts * np.sqrt(w)[:, None]
-    _, _, vt = np.linalg.svd(scaled, full_matrices=True)
+    _, _, vt = np.linalg.svd(scaled, full_matrices=pts.shape[0] < k)
     return vt[:k]
 
 
@@ -450,9 +454,12 @@ def _fit_line(pts, w, fallback_dir):
     if pts.shape[0] == 1:
         return Line.canonical(pts[0], fallback_dir)
     centroid = np.average(pts, axis=0, weights=w)
-    centered = (pts - centroid) * np.sqrt(w)[:, None]
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    direction = vt[0] if s[0] > 0 else fallback_dir
+    c = pts - centroid
+    # The top eigenvector of the d x d weighted scatter is the top right
+    # singular vector of the sqrt-weighted centered group, without an
+    # (n, d) SVD.
+    evals, evecs = np.linalg.eigh((c.T * w) @ c)
+    direction = evecs[:, -1] if evals[-1] > 0 else fallback_dir
     return Line.canonical(centroid, direction)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -136,8 +138,29 @@ def test_distortion_range():
     assert is_bi_lipschitz(identity_map(2), pts, 0.0)
     lo0, hi0 = distortion_range(JLMap(np.zeros((3, 2))), pts)
     assert lo0 == 0.0 and hi0 == 0.0
-    with pytest.raises(ValueError):
-        distortion_range(identity_map(2), np.zeros((3, 2)))
+    for no_pair in (np.zeros((3, 2)), np.ones((1, 2)), np.empty((0, 2))):
+        with pytest.raises(ValueError):
+            distortion_range(identity_map(2), no_pair)
+
+
+def test_distortion_range_memory_is_linear_in_n():
+    rng = np.random.default_rng(19)
+    pts = rng.normal(size=(2000, 3))
+    pts[7] = pts[3]                       # a coincident pair is skipped
+    p = sample_jl(3, 2, seed=5)
+    tracemalloc.start()
+    try:
+        got = distortion_range(p, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    iu = np.triu_indices(2000, k=1)
+    orig = np.linalg.norm(pts[iu[0]] - pts[iu[1]], axis=1)
+    mask = orig > 0
+    proj = pts @ p.matrix.T
+    ratio = np.linalg.norm(proj[iu[0]][mask] - proj[iu[1]][mask], axis=1) / orig[mask]
+    assert got == (float(np.min(ratio)), float(np.max(ratio)))
 
 
 def test_map_serialization_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from projclust.geometry import Dataset, WeightedSet, CenterSet, Subspace, Flat, 
 from projclust.solvers import (
     SolveReport, opt_center, solve,
     _best_partition, _descent_center, _grassmann_descent, _dz_seed, _subspace_cost,
+    _fit_line, _default_dir,
 )
 
 
@@ -414,6 +416,24 @@ def test_subspace_planted_rank_is_zero_cost():
     assert rep.cost_pow == pytest.approx(0.0, abs=1e-9)
 
 
+def test_subspace_z2_memory_is_linear_in_n():
+    x = np.random.default_rng(24).normal(size=(3000, 5))
+    tracemalloc.start()
+    try:
+        solve("subspace", x, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20          # an (n, n) left singular factor is 72 MB
+
+
+def test_subspace_z2_with_fewer_points_than_dimensions():
+    pts = np.random.default_rng(25).normal(size=(2, 5))
+    rep = solve("subspace", Dataset(pts), 3, 2)
+    assert rep.solution.dim == 3
+    assert rep.cost_pow == pytest.approx(0.0, abs=1e-12)
+
+
 def test_subspace_rejects_full_dimension():
     with pytest.raises(ValueError):
         solve("subspace", Dataset(np.eye(3)), 3, 2)
@@ -503,6 +523,43 @@ def test_flat_reports_alternation_round_cap():
 
 # ---------------------------------------------------------------------------
 # Lines
+
+
+def svd_line(pts, w):
+    """The weighted least-squares line along the top right singular vector of
+    the sqrt-weighted centered group."""
+    c = np.average(pts, axis=0, weights=w)
+    _, _, vt = np.linalg.svd((pts - c) * np.sqrt(w)[:, None], full_matrices=False)
+    return Line.canonical(c, vt[0])
+
+
+@pytest.mark.parametrize("seed", [26, 27, 28])
+def test_fit_line_matches_svd_direction(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        n, d = int(rng.integers(3, 300)), int(rng.integers(2, 25))
+        ln = Line.through(rng.normal(size=d), rng.normal(size=d))
+        pts = (ln.anchor + np.multiply.outer(rng.normal(0, 3, n), ln.direction)
+               + rng.normal(0, 0.1, (n, d)))
+        w = rng.uniform(0.1, 5.0, n)
+        got, want = _fit_line(pts, w, _default_dir(d)), svd_line(pts, w)
+        npt.assert_allclose(got.direction, want.direction, rtol=0, atol=1e-12)
+        npt.assert_allclose(got.anchor, want.anchor, rtol=0, atol=1e-12)
+
+
+def test_fit_line_through_collinear_group():
+    rng = np.random.default_rng(29)
+    ln = Line.through(rng.normal(size=4), rng.normal(size=4))
+    pts = ln.anchor + np.multiply.outer(rng.normal(0, 3, 40), ln.direction)
+    fit = _fit_line(pts, rng.uniform(0.1, 5.0, 40), _default_dir(4))
+    assert np.max(np.linalg.norm(pts - geometry.project_line(pts, fit), axis=1)) <= 1e-12
+
+
+def test_fit_line_of_identical_points_takes_fallback():
+    pts = np.tile([1.5, -2.0, 3.0], (4, 1))
+    fallback = np.array([0.0, -0.6, 0.8])
+    got = _fit_line(pts, np.array([1.0, 2.0, 3.0, 2.0]), fallback)
+    assert got == Line.canonical(pts[0], fallback)
 
 
 def test_lines_exact_square_corners():
