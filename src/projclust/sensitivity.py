@@ -107,13 +107,24 @@ def clustering_sensitivity(data, centers, z):
 
 
 def sup_ratios(y, z, method="auto"):
-    """All supremum ratios of a point set over directions of its span.
+    """Supremum ratios of a point set over directions of its span, or bounds on them.
 
-    For each index i this is  sup_u |<y_i, u>|^z / sum_j |<y_j, u>|^z  over
-    nonzero directions u.  For z = 2 the supremum has a closed form (the
-    statistical leverage of row i); otherwise it is found by a dense angular
-    grid when the span is at most 2-dimensional and by multi-start projected
-    gradient ascent above that.
+    For each index i the ratio is  sup_u |<y_i, u>|^z / sum_j |<y_j, u>|^z
+    over nonzero directions u of the span.  Rows with no component in the
+    span score 0.  The methods:
+
+    - ``"leverage"`` (z = 2 only): the closed form, the statistical leverage
+      of row i.
+    - ``"grid"`` (spans of dimension <= 2 only): the ratio at 100 000 evenly
+      spaced directions, exact up to the grid spacing.
+    - ``"ascent"``: multi-start projected gradient ascent, a certified lower
+      bound; O(n^2) in all.
+    - ``"auto"``: ``leverage`` at z = 2.  At the other z <= 3.5 an upper
+      bound from the l_z Lewis weights w of the rows (Cohen & Peng, "lp row
+      sampling by Lewis weights", STOC 2015): w itself for z < 2 and
+      r^(z/2 - 1) * w for z > 2, with r the dimension of the span; for
+      z < 2 the values sum to r.  Above 3.5, ``grid`` on spans of dimension
+      <= 2 and ``ascent`` on larger ones.
 
     Parameters
     ----------
@@ -123,7 +134,7 @@ def sup_ratios(y, z, method="auto"):
 
     Returns
     -------
-    (n,) array of ratios in [0, 1].
+    (n,) array of values in [0, 1].
     """
     z = geometry._check_z(z)
     pts = geometry._points_of(y)
@@ -138,6 +149,13 @@ def sup_ratios(y, z, method="auto"):
     if method == "auto":
         if z == 2.0:
             method = "leverage"
+        elif z <= _LEWIS_MAX_Z:
+            out = np.zeros(n)
+            rows = np.any(p != 0.0, axis=1)
+            out[rows] = _lewis_weights(p[rows], z)
+            if z > 2.0:
+                out *= r ** (z / 2.0 - 1.0)
+            return np.clip(out, 0.0, 1.0)
         elif r <= 2:
             method = "grid"
         else:
@@ -155,7 +173,7 @@ def sup_ratios(y, z, method="auto"):
     if method == "ascent":
         out = np.zeros(n)
         for i in range(n):
-            if norms[i] == 0.0:
+            if not np.any(p[i]):
                 continue
             out[i] = _sup_ratio_ascent(p, i, z)
         return out
@@ -163,7 +181,7 @@ def sup_ratios(y, z, method="auto"):
 
 
 def sup_ratio(y, i, z, method="auto"):
-    """The supremum ratio for a single index; see :func:`sup_ratios`."""
+    """The value of :func:`sup_ratios` for a single index."""
     pts = geometry._points_of(y)
     i = int(i)
     if not 0 <= i < pts.shape[0]:
@@ -173,6 +191,48 @@ def sup_ratio(y, i, z, method="auto"):
             raise ValueError("all rows are zero; the ratio is undefined")
         return 0.0
     return float(sup_ratios(pts, z, method=method)[i])
+
+
+# Largest z at which ``auto`` bounds the ratios by Lewis weights.  The
+# iteration contracts by |1 - z/2| per round, at most 3/4 up to here; towards
+# z = 4 it slows without bound, and the grid or ascent takes over.
+_LEWIS_MAX_Z = 3.5
+# Largest change of log w at which the Lewis iteration stops.
+_LEWIS_TOL = 1e-12
+# Round cap of the Lewis iteration.  A first change is a log-ratio of two
+# doubles, below 1500, so at contraction 3/4 the change is under _LEWIS_TOL
+# well before this many rounds.
+_LEWIS_ROUNDS = 200
+
+
+def _lewis_weights(q, z):
+    """Upper bounds on the l_z Lewis weights of the rows of q.
+
+    q has no zero rows and full column rank.  Iterates
+    w_i <- (q_i^T (q^T diag(w^(1 - 2/z)) q)^-1 q_i)^(z/2)  from the uniform
+    weights r/n.  For z < 4 the map contracts by c = |1 - z/2| per round in
+    the largest |log(w_i / w'_i)| (Cohen & Peng), so that change shrinks
+    every round in exact arithmetic.  The rounds stop once it is at most
+    ``_LEWIS_TOL``, once rounding keeps it from shrinking, or after
+    ``_LEWIS_ROUNDS``.  A last change delta leaves the iterate within
+    delta * c / (1 - c) of the weights in that metric, so the iterate is
+    scaled up by exp of that to stay an upper bound.
+    """
+    n, r = q.shape
+    c = abs(1.0 - z / 2.0)
+    w = np.full(n, r / n)
+    change = np.inf
+    for _ in range(_LEWIS_ROUNDS):
+        m = (q * (w ** (1.0 - 2.0 / z))[:, None]).T @ q
+        new = np.einsum("ij,jk,ik->i", q, np.linalg.inv(m), q) ** (z / 2.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = float(np.max(np.abs(np.log(new / w))))
+        if not np.isfinite(step):
+            raise ValueError("the Lewis weights of these rows leave the floating-point range")
+        last, change, w = change, step, new
+        if change <= _LEWIS_TOL or change >= last:
+            break
+    return w * np.exp(change * c / (1.0 - c))
 
 
 _GRID_POINTS = 100_000
@@ -251,8 +311,10 @@ def subspace_sensitivity(data, subspace, z):
         sigma(x) = 2^(z-1) * dist(x, R)^z / cost
                  + 2^(2z-1) * sup_u |<y, u>|^z / sum |<y', u>|^z
 
-    The first term is dropped at zero reference cost; if every projection is
-    the origin the supremum term degenerates to the uniform value 1/n.
+    The supremum term is :func:`sup_ratios` with ``method="auto"``: exact at
+    z = 2 and a Lewis-weight upper bound at the other z <= 3.5.  The first
+    term is dropped at zero reference cost; if every projection is the
+    origin the supremum term degenerates to the uniform value 1/n.
     """
     z = geometry._check_z(z)
     pts = geometry._checked_points("subspace", data, subspace)

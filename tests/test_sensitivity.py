@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from projclust import geometry
 from projclust.geometry import Dataset, CenterSet, Subspace, Flat, Line, LineSet
@@ -181,6 +182,59 @@ def test_sup_ratio_grid_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("z", [1, 1.3, 2.5, 3.5])
+def test_sup_ratio_lewis_zero_rows(z):
+    # zero rows stay out of the iteration: 0 ** (1 - 2/z) would warn
+    rng = np.random.default_rng(22)
+    y = np.vstack([np.zeros((2, 3)), rng.normal(size=(9, 3)), np.zeros((1, 3))])
+    lew = sup_ratios(y, z)
+    assert np.all(lew[[0, 1, 11]] == 0.0) and np.all(lew[2:11] > 0.0)
+    assert np.all(lew <= 1.0)
+
+
+def test_sup_ratio_lewis_rows_outside_the_numerical_span():
+    # the third row is nonzero but has no component in the rank-1 span kept
+    # by the SVD; it scores 0, and the others get their exact ratios 1/3, 2/3
+    y = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1e-20]])
+    lew = sup_ratios(y, 1)
+    npt.assert_allclose(lew, [1 / 3, 2 / 3, 0.0], rtol=1e-9)
+    assert np.all(sup_ratios(y, 1, method="ascent") <= lew * (1 + 1e-9))
+
+
+def test_sup_ratio_lewis_refuses_weights_out_of_range():
+    # the second weight, about 1e-400 before the power z/2, underflows to 0
+    with pytest.raises(ValueError, match="floating-point range"):
+        sup_ratios(np.array([[1.0, 0.0], [1e-200, 0.0]]), 1)
+
+
+def test_sup_ratio_auto_leaves_lewis_above_3_5():
+    # towards z = 4 the Lewis iteration slows without bound, so auto runs
+    # the grid (span dimension <= 2) or the ascent (above) there instead
+    rng = np.random.default_rng(23)
+    for z in (3.5 + 1e-9, 3.99, 3.999999):
+        y2 = rng.standard_t(3, size=(12, 2))
+        assert sup_ratios(y2, z).tobytes() == sup_ratios(y2, z, method="grid").tobytes()
+        y3 = rng.standard_t(3, size=(12, 3))
+        assert sup_ratios(y3, z).tobytes() == sup_ratios(y3, z, method="ascent").tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+           st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=1, max_size=8)),
+       st.lists(st.integers(0, 7), max_size=3),
+       st.integers(0, 2))
+def test_sup_ratio_lewis_bounds_ascent(rows, repeats, zeros):
+    y = np.array(rows, dtype=np.float64)
+    assume(np.any(y))
+    y = np.vstack([y, y[[i % len(y) for i in repeats]], np.zeros((zeros, y.shape[1]))])
+    rank = np.linalg.matrix_rank(y)
+    for z in (1, 1.3, 1.5, 2.5, 3, 3.5):
+        lew = sup_ratios(y, z)
+        assert np.all(sup_ratios(y, z, method="ascent") <= lew * (1 + 1e-9))
+        if z <= 2:
+            assert lew.sum() == pytest.approx(rank, abs=1e-9)
 
 
 def test_sup_ratio_method_errors():
