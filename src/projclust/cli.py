@@ -420,6 +420,17 @@ def _render_svg(path, ts, med, lo, hi, title):
 # parser
 
 
+def _count(text):
+    """An argparse type for --m and --trials: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _solver_options(g):
     g.add_argument("--method", default="auto",
                    choices=["auto", "exact", "heuristic"])
@@ -470,14 +481,14 @@ def build_parser():
     g.add_argument("--problem", required=True, choices=list(PROBLEMS))
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--z", type=float, default=2.0)
-    g.add_argument("--m", type=int, required=True, help="coreset size")
+    g.add_argument("--m", type=_count, required=True, help="coreset size")
     g.add_argument("--t", type=int,
                    help="projection dimension for the after-projection ratio")
     g.add_argument("--eps", type=float, default=0.3,
                    help="accuracy target feeding the preset for --t")
     g.add_argument("--const", type=float, default=1.0,
                    help="rescale the preset dimension formula")
-    g.add_argument("--trials", type=int, default=20,
+    g.add_argument("--trials", type=_count, default=20,
                    help="number of independent coreset draws")
     _solver_options(g)
     g.add_argument("--out", required=True)
@@ -497,7 +508,7 @@ def build_parser():
                    help="use the identity map at t = d (debug baseline)")
     g.add_argument("--const", type=float, default=1.0,
                    help="rescale the preset dimension formula")
-    g.add_argument("--trials", type=int, default=20)
+    g.add_argument("--trials", type=_count, default=20)
     _solver_options(g)
     g.add_argument("--out", required=True)
     g.add_argument("--plot", help="write an SVG chart to this file")
@@ -508,7 +519,7 @@ def build_parser():
     g.add_argument("--which", default="both", choices=["medoid", "css", "both"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--t", type=int, default=3)
-    g.add_argument("--trials", type=int, default=20)
+    g.add_argument("--trials", type=_count, default=20)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--threshold", type=float,
                    help="override the per-family ratio threshold")

@@ -30,10 +30,25 @@ __all__ = [
 ]
 
 
-def gen_medoid_instance(n):
-    """The n standard basis vectors of R^n, as a Dataset."""
+# The largest dense instance matrix the generators build, in bytes.
+_MAX_INSTANCE_BYTES = 2 ** 30
+
+
+def _check_instance(n, cols):
+    """Refuse n < 2, or an (n, cols) float64 matrix above _MAX_INSTANCE_BYTES."""
     if n < 2:
         raise ValueError("need at least two points")
+    nbytes = 8 * int(n) * int(cols)
+    if nbytes > _MAX_INSTANCE_BYTES:
+        raise ValueError(
+            f"a dense {n} x {cols} instance needs {nbytes} bytes, above the "
+            f"{_MAX_INSTANCE_BYTES}-byte limit; counterexample_trial projects "
+            f"it without building it")
+
+
+def gen_medoid_instance(n):
+    """The n standard basis vectors of R^n, as a Dataset."""
+    _check_instance(n, n)
     return Dataset(np.eye(n))
 
 
@@ -42,8 +57,7 @@ def gen_css_instance(n):
 
     Row i is (e_{n+1} + e_i)/sqrt(2); every pair has inner product 1/2.
     """
-    if n < 2:
-        raise ValueError("need at least two points")
+    _check_instance(n, n + 1)
     pts = np.zeros((n, n + 1))
     pts[:, :n] = np.eye(n)
     pts[:, n] = 1.0

@@ -4,11 +4,11 @@
 ``k``, ``z``, ``restarts`` and ``seed`` once, reads the points and weights of
 a Dataset, WeightedSet or raw array, and hands them to a private body that
 keeps only its own limits.  Clustering and lines get exact answers by
-partition enumeration at small n and deterministic multi-restart local search
-otherwise; subspace and flat use their closed form at z = 2 and descent at any
-other z, whatever the method.  Every solve returns a :class:`SolveReport`
-whose stated cost is re-evaluated through :func:`projclust.geometry.cost_pow`,
-so reports are comparable across methods.
+partition enumeration at small n and local search otherwise; subspace and
+flat use their closed form at z = 2 and descent at any other z.  Every local
+search and descent takes ``restarts`` starts, start r drawn from stream r of
+``seed``, through one restart loop.  Every solve returns a :class:`SolveReport`
+whose stated cost is re-evaluated through :func:`projclust.geometry.cost_pow`.
 """
 
 import numpy as np
@@ -19,9 +19,8 @@ from ._rng import rng_stream
 
 EXACT_CLUSTERING_MAX_N = 14
 EXACT_LINES_MAX_N = 12
-# Sampled starts tried besides the z = 2 solution when z != 2.
-_SUBSPACE_CANDIDATES = 30
-_FLAT_ANCHORS = 10
+# How many of its scored starts a z != 2 subspace or flat solve polishes.
+_POLISHED = 3
 # method="auto" enumerates partitions only at z = 2 and up to this n, for
 # both problems.  The line enumerator supports z = 2 alone.  The clustering
 # one needs a center solve per distinct block (up to 2^n of them), which for
@@ -232,13 +231,16 @@ def _alternate(pts, w, shapes, sq_dists, refit, revive):
     return shapes, False
 
 
-def _best_of_restarts(problem, data, z, restarts, fit, method):
+def _best_of_restarts(problem, data, z, restarts, fit, method, rank=None):
     """Report on the cheapest ``fit(r)`` over r < restarts.
 
-    ``fit(r)`` returns (solution, converged); the first restart wins ties.
+    ``fit(r)`` returns (solution, converged); the first restart fitted wins
+    ties.  Given ``rank``, every restart is scored by ``rank(r)`` and only
+    the _POLISHED lowest (ties to the lower r) are fitted, lowest first.
     """
+    tried = range(restarts) if rank is None else sorted(range(restarts), key=rank)[:_POLISHED]
     best = (np.inf, None, False)
-    for r in range(restarts):
+    for r in tried:
         sol, converged = fit(r)
         cp = geometry.cost_pow(problem, data, sol, z)
         if cp < best[0]:
@@ -357,92 +359,86 @@ def _grassmann_descent(pts, w, basis, z, max_iter=200, tol=1e-8):
                     retract, max_iter, tol)
 
 
-def _subspace(data, pts, w, k, z):
+def _frame_search(problem, data, pts, w, k, z, restarts, seed, first, polish, method):
+    """Report on the best of ``restarts`` starts, each an (anchor, k-frame).
+
+    Start 0 is ``first``, the z = 2 solution.  Start r >= 1 draws from stream
+    r of ``seed`` the span of k points, or for a flat the flat through k + 1
+    anchored at the first; dependent points are padded with random
+    directions.  Every start is scored by its residual cost about its anchor
+    and the _POLISHED cheapest are fitted by ``polish(anchor, basis)``.
+    """
+    n, d = pts.shape
+    extra = int(problem == "flat")
+    starts = [first]
+    for r in range(1, restarts):
+        rng = rng_stream(seed, r)
+        idx = rng.choice(n, size=min(k + extra, n), replace=False)
+        anchor = pts[idx[0]] if extra else np.zeros(d)
+        basis = geometry._orthonormal_rows(pts[idx[extra:]] - anchor)
+        if basis.shape[0] < k:
+            basis = geometry._orthonormal_rows(
+                np.vstack([basis, rng.normal(size=(k - basis.shape[0], d))]))
+        starts.append((anchor, basis[:k]))
+    return _best_of_restarts(
+        problem, data, z, restarts, lambda r: polish(*starts[r]), method,
+        rank=lambda r: _subspace_cost(pts - starts[r][0], w, starts[r][1], z))
+
+
+def _subspace(data, pts, w, k, z, restarts, seed):
     """Best k-dimensional linear subspace.
 
-    Exact for z = 2 (top singular directions).  For other z, spans of
-    sampled k-point subsets plus the z = 2 solution are scored and the best
-    few are polished by gradient descent over orthonormal frames; this is a
-    heuristic with no optimality guarantee.  ``converged`` is that of the
-    winning descent.
+    Exact for z = 2 (top singular directions).  For other z, a
+    :func:`_frame_search` whose starts are polished by gradient descent over
+    orthonormal frames; a heuristic with no optimality guarantee.
+    ``converged`` is that of the winning descent.
     """
-    n, d = pts.shape
-    if k >= d:
-        raise ValueError("need 1 <= k < d (a full-dimensional subspace is trivial)")
     svd_basis = _weighted_pca_basis(pts, w, k)
     if z == 2.0:
-        sol = Subspace(svd_basis)
-        return _report("subspace", data, sol, z, "svd", 0, True)
-    pool = [svd_basis]
-    rng = np.random.default_rng(0)   # internal, fixed: results are deterministic
-    for _ in range(_SUBSPACE_CANDIDATES):
-        idx = rng.choice(n, size=min(k, n), replace=False)
-        basis = geometry._orthonormal_rows(pts[idx])
-        if basis.shape[0] < k:
-            filler = geometry._orthonormal_rows(
-                np.vstack([basis, rng.normal(size=(k - basis.shape[0], d))]))
-            basis = filler
-        pool.append(basis[:k])
-    scored = sorted(pool, key=lambda b: _subspace_cost(pts, w, b, z))
-    best_b, best_v, converged = None, np.inf, False
-    for b in scored[:3]:
-        rb, rv, rc = _grassmann_descent(pts, w, b, z)
-        if rv < best_v:
-            best_b, best_v, converged = rb, rv, rc
-    sol = Subspace(geometry._orthonormal_rows(best_b))
-    if sol.dim < k:   # guard against a rank drop during refinement
-        sol = Subspace(_weighted_pca_basis(pts, w, k))
-    return _report("subspace", data, sol, z, "span-search+descent", 0, converged)
+        return _report("subspace", data, Subspace(svd_basis), z, "svd", 0, True)
+
+    def polish(anchor, basis):
+        b, _, converged = _grassmann_descent(pts, w, basis, z)
+        sol = Subspace(geometry._orthonormal_rows(b))
+        if sol.dim < k:   # guard against a rank drop during refinement
+            sol = Subspace(svd_basis)
+        return sol, converged
+
+    return _frame_search("subspace", data, pts, w, k, z, restarts, seed,
+                         (np.zeros(pts.shape[1]), svd_basis), polish, "span-search+descent")
 
 
-def _complement_basis(basis, d):
-    # Columns k..d-1 of the full Q factor span the orthogonal complement.
-    q, _ = np.linalg.qr(basis.T, mode="complete")
-    return q[:, basis.shape[0]:].T
-
-
-def _flat(data, pts, w, k, z):
+def _flat(data, pts, w, k, z, restarts, seed):
     """Best k-dimensional affine flat.
 
-    Exact for z = 2: the flat through the weighted centroid spanned by the
-    top principal directions.  For other z, alternates an optimal
-    translation (a single-center problem in the orthogonal complement) with
-    direction descent, starting from the z = 2 solution and a few sampled
-    anchors.  ``converged`` says whether the winning alternation met its
-    relative tolerance within its 10 rounds.
+    Exact for z = 2: the flat through the weighted centroid along the top
+    principal directions.  For other z, a :func:`_frame_search` whose starts
+    alternate an optimal translation (a single-center problem in the
+    orthogonal complement) with direction descent; ``converged`` says whether
+    the winning alternation met its relative tolerance within 10 rounds.
     """
-    n, d = pts.shape
-    if k >= d:
-        raise ValueError("need 1 <= k < d (a full-dimensional flat is trivial)")
     centroid = np.average(pts, axis=0, weights=w)
     pca = _weighted_pca_basis(pts - centroid, w, k)
     if z == 2.0:
-        sol = Flat.from_point(Subspace(pca), centroid)
-        return _report("flat", data, sol, z, "centered-svd", 0, True)
+        return _report("flat", data, Flat.from_point(Subspace(pca), centroid), z,
+                       "centered-svd", 0, True)
 
-    rng = np.random.default_rng(0)
-    anchors = [centroid] + [pts[int(rng.integers(n))] for _ in range(_FLAT_ANCHORS)]
-    best = (np.inf, None, False)
-    for anchor in anchors:
-        basis = pca
-        point = anchor
+    def polish(point, basis):
         val = np.inf
         for _ in range(10):
             basis = _grassmann_descent(pts - point, w, basis, z, max_iter=60)[0]
-            comp = _complement_basis(basis, d)
-            coords = pts @ comp.T
-            tau_c = opt_center(coords, z, w)
-            point = tau_c @ comp
+            # columns k..d-1 of the full Q factor span the orthogonal complement
+            comp = np.linalg.qr(basis.T, mode="complete")[0][:, k:].T
+            point = opt_center(pts @ comp.T, z, w) @ comp
             new_val = _subspace_cost(pts - point, w, basis, z)
             converged = val - new_val < 1e-8 * max(new_val, 1e-300)
             val = new_val
             if converged:
                 break
-        if val < best[0]:
-            best = (val, (basis, point), converged)
-    basis, point = best[1]
-    sol = Flat.from_point(Subspace(geometry._orthonormal_rows(basis)), point)
-    return _report("flat", data, sol, z, "alternating-descent", 0, best[2])
+        return Flat.from_point(Subspace(geometry._orthonormal_rows(basis)), point), converged
+
+    return _frame_search("flat", data, pts, w, k, z, restarts, seed,
+                         (centroid, pca), polish, "alternating-descent")
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +536,12 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
     z < 1, restarts < 1 or seed < 0 raises ValueError on every path.
     ``method`` matters for clustering and lines only: "exact" enumerates
     partitions (up to the enumerator's n cap), "heuristic" runs local search
-    from ``restarts`` starts, restart r seeded by stream r of ``seed``, and
-    "auto" enumerates only at z = 2 and n <= _AUTO_EXACT_MAX_N.  Subspace and
-    flat use their closed form at z = 2 and descent otherwise, whatever the
-    method.
+    from ``restarts`` starts, and "auto" enumerates only at z = 2 and
+    n <= _AUTO_EXACT_MAX_N.  Subspace and flat use their closed form at z = 2,
+    whatever the method; at other z, start 0 is that closed form, start r >= 1
+    is sampled from stream r of ``seed``, all are scored and the _POLISHED
+    cheapest descend.  ``report.restarts`` is ``restarts`` for every search
+    and 0 for a closed form or an enumeration.
     """
     if problem not in geometry.PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}; expected one of {geometry.PROBLEMS}")
@@ -561,10 +559,12 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
         raise ValueError("seed must be non-negative")
     pts = geometry._points_of(data)
     w = data.weights if isinstance(data, WeightedSet) else np.ones(pts.shape[0])
+    if problem in ("subspace", "flat") and k >= pts.shape[1]:
+        raise ValueError(f"need 1 <= k < d (a full-dimensional {problem} is trivial)")
     if problem == "subspace":
-        return _subspace(data, pts, w, k, z)
+        return _subspace(data, pts, w, k, z, restarts, seed)
     if problem == "flat":
-        return _flat(data, pts, w, k, z)
+        return _flat(data, pts, w, k, z, restarts, seed)
     exact = method == "exact" or (method == "auto" and z == 2.0
                                   and pts.shape[0] <= _AUTO_EXACT_MAX_N)
     if problem == "clustering":

@@ -176,6 +176,50 @@ def test_coreset_lines_byte_identical_across_thread_counts(tmp_path, monkeypatch
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_coreset_flat_z1_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+    src = tmp_path / "s.txt"
+    main(["gen", "--kind", "points-near-k-flat", "--n", "40", "--d", "5",
+          "--k", "2", "--noise", "0.1", "--seed", "5", "--out", str(src)])
+    args = ["coreset", "--in", str(src), "--problem", "flat", "--k", "2",
+            "--z", "1", "--m", "20", "--t", "3", "--trials", "2",
+            "--restarts", "4", "--seed", "2"]
+    outs = []
+    for name, threads in (("one.csv", "1"), ("two.csv", "2"), ("again.csv", "2")):
+        path = tmp_path / name
+        monkeypatch.setenv("PROJCLUST_THREADS", threads)
+        assert main(args + ["--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (["coreset", "--problem", "clustering", "--k", "2", "--m", "5"], "--trials", "0"),
+    (["coreset", "--problem", "clustering", "--k", "2", "--trials", "2"], "--m", "0"),
+    (["coreset", "--problem", "clustering", "--k", "2", "--trials", "2"], "--m", "-3"),
+    (["preserve", "--problem", "clustering", "--n", "10", "--d", "3"], "--trials", "0"),
+    (["counterexample", "--n", "10"], "--trials", "0"),
+    (["counterexample", "--n", "10"], "--trials", "-1"),
+])
+def test_counts_below_one_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       command, flag, value):
+    src, out = tmp_path / "s.txt", tmp_path / "out.csv"
+    main(["gen", "--kind", "gaussian-mixture", "--n", "12", "--d", "3",
+          "--out", str(src)])
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the count")
+
+    monkeypatch.setattr(solvers, "solve", no_solve)
+    if command[0] == "coreset":
+        command = command + ["--in", str(src)]
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coreset_clustering_fractional_z_does_not_warn(tmp_path, monkeypatch):
     # sampled coresets repeat points, so the z = 1.3 center descent meets a
     # point on its center

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -79,6 +81,28 @@ def test_generators_reject_tiny_n():
         gen_css_instance(1)
     with pytest.raises(ValueError):
         counterexample_trial("medoid", 1, 3, 0)
+
+
+@pytest.mark.parametrize("gen,cols", [(gen_medoid_instance, 10 ** 6),
+                                      (gen_css_instance, 10 ** 6 + 1)])
+def test_generators_refuse_a_huge_dense_matrix_before_allocating(gen, cols):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"needs {8 * 10 ** 6 * cols} bytes"):
+            gen(10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_generators_size_limit_is_two_to_the_thirty_bytes():
+    # 8 * 11585**2 bytes fit in 2**30 (not built here: a gigabyte); one more
+    # column does not
+    with pytest.raises(ValueError, match="1073883168 bytes"):
+        gen_medoid_instance(11586)
+    with pytest.raises(ValueError, match="1073790480 bytes"):
+        gen_css_instance(11585)
 
 
 def test_column_trick_matches_direct_projection():
