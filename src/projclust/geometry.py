@@ -317,12 +317,14 @@ def _sq_dists_to_centers(pts, centers):
 
 
 def _sq_dists_to_lines(pts, lines):
+    # squares of the residuals themselves; |w|^2 - <w, u>^2 cancels
+    # catastrophically for points on or near a line
     sq = np.empty((pts.shape[0], len(lines)))
+    w = np.empty_like(pts)
     for j, ln in enumerate(lines):
-        w = pts - ln.anchor
-        along = w @ ln.direction
-        sq[:, j] = np.sum(w * w, axis=1) - along * along
-    np.maximum(sq, 0.0, out=sq)
+        np.subtract(pts, ln.anchor, out=w)
+        w -= np.outer(w @ ln.direction, ln.direction)
+        np.einsum("ij,ij->i", w, w, out=sq[:, j])
     return sq
 
 

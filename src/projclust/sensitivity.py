@@ -106,31 +106,29 @@ def clustering_sensitivity(data, centers, z):
 # Supremum ratios sup_u |<y_i, u>|^z / sum_j |<y_j, u>|^z
 
 
-def sup_ratios(y, z, method="auto"):
-    """Supremum ratios of a point set over directions of its span, or bounds on them.
+def sup_ratios(y, z):
+    """Upper bounds on the supremum ratios of a point set over its span.
 
     For each index i the ratio is  sup_u |<y_i, u>|^z / sum_j |<y_j, u>|^z
     over nonzero directions u of the span.  Rows with no component in the
-    span score 0.  The methods:
+    span score 0.  With q the span coordinates of the rows that have a
+    component in it and any weights w > 0, let
 
-    - ``"leverage"`` (z = 2 only): the closed form, the statistical leverage
-      of row i.
-    - ``"grid"`` (spans of dimension <= 2 only): the ratio at 100 000 evenly
-      spaced directions, exact up to the grid spacing.
-    - ``"ascent"``: multi-start projected gradient ascent, a certified lower
-      bound; O(n^2) in all.
-    - ``"auto"``: ``leverage`` at z = 2.  At the other z <= 3.5 an upper
-      bound from the l_z Lewis weights w of the rows (Cohen & Peng, "lp row
-      sampling by Lewis weights", STOC 2015): w itself for z < 2 and
-      r^(z/2 - 1) * w for z > 2, with r the dimension of the span; for
-      z < 2 the values sum to r.  Above 3.5, ``grid`` on spans of dimension
-      <= 2 and ``ascent`` on larger ones.
+        v_i(w) = (q_i^T (q^T diag(w^(1 - 2/z)) q)^+ q_i)^(z/2).
+
+    Cauchy-Schwarz in the diag(w^(1 - 2/z)) norm, then Hoelder, bound the
+    ratio of row i by  v_i * (sum_j w_j)^(z/2 - 1)  for z >= 2 and by
+    v_i * max_j (v_j / w_j)^(2/z - 1)  for z <= 2.  At z = 2 both are the
+    leverage score of row i, exactly, whatever w.  At the l_z Lewis weights
+    (Cohen & Peng, "lp row sampling by Lewis weights", STOC 2015) they are
+    r^(z/2 - 1) * w_i and w_i, r the dimension of the span, and for z <= 2
+    they sum to r; see :func:`_certified_bound` for the iteration that
+    approaches them.
 
     Parameters
     ----------
     y : Dataset or (n, d) array
     z : float >= 1
-    method : {"auto", "leverage", "grid", "ascent"}
 
     Returns
     -------
@@ -138,169 +136,56 @@ def sup_ratios(y, z, method="auto"):
     """
     z = geometry._check_z(z)
     pts = geometry._points_of(y)
-    n = pts.shape[0]
-    norms = np.linalg.norm(pts, axis=1)
-    scale = float(np.max(norms))
-    if scale == 0.0:
+    if not np.any(pts):
         raise ValueError("all rows are zero; the ratio is undefined")
-    basis = geometry._orthonormal_rows(pts)
-    p = pts @ basis.T          # span coordinates, full column rank
-    r = p.shape[1]
-    if method == "auto":
-        if z == 2.0:
-            method = "leverage"
-        elif z <= _LEWIS_MAX_Z:
-            out = np.zeros(n)
-            rows = np.any(p != 0.0, axis=1)
-            out[rows] = _lewis_weights(p[rows], z)
-            if z > 2.0:
-                out *= r ** (z / 2.0 - 1.0)
-            return np.clip(out, 0.0, 1.0)
-        elif r <= 2:
-            method = "grid"
-        else:
-            method = "ascent"
-    if method == "leverage":
-        if z != 2.0:
-            raise ValueError("the leverage closed form applies to z = 2 only")
-        g = np.linalg.pinv(p.T @ p, hermitian=True)
-        out = np.einsum("ij,jk,ik->i", p, g, p)
-        return np.clip(out, 0.0, 1.0)
-    if method == "grid":
-        if r > 2:
-            raise ValueError("grid search applies to spans of dimension <= 2")
-        return _sup_ratios_grid(p, z)
-    if method == "ascent":
-        out = np.zeros(n)
-        for i in range(n):
-            if not np.any(p[i]):
-                continue
-            out[i] = _sup_ratio_ascent(p, i, z)
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    p = pts @ geometry._orthonormal_rows(pts).T     # span coordinates, full column rank
+    rows = np.any(p != 0.0, axis=1)
+    out = np.zeros(pts.shape[0])
+    # The ratios do not change under an invertible map of the coordinates;
+    # orthonormal columns keep the weighted Gram matrices well conditioned
+    # where p is not (say, the lift of a flat far from the origin).
+    out[rows] = _certified_bound(np.linalg.qr(p[rows])[0], z)
+    return np.clip(out, 0.0, 1.0)
 
 
-def sup_ratio(y, i, z, method="auto"):
-    """The value of :func:`sup_ratios` for a single index."""
-    pts = geometry._points_of(y)
-    i = int(i)
-    if not 0 <= i < pts.shape[0]:
-        raise ValueError("index out of range")
-    if np.linalg.norm(pts[i]) == 0.0:
-        if float(np.max(np.linalg.norm(pts, axis=1))) == 0.0:
-            raise ValueError("all rows are zero; the ratio is undefined")
-        return 0.0
-    return float(sup_ratios(pts, z, method=method)[i])
+# Largest change of log w at which the weight iteration stops.
+_BOUND_TOL = 1e-12
+# Round cap of the weight iteration; any stopping point still certifies.
+_BOUND_ROUNDS = 200
 
 
-# Largest z at which ``auto`` bounds the ratios by Lewis weights.  The
-# iteration contracts by |1 - z/2| per round, at most 3/4 up to here; towards
-# z = 4 it slows without bound, and the grid or ascent takes over.
-_LEWIS_MAX_Z = 3.5
-# Largest change of log w at which the Lewis iteration stops.
-_LEWIS_TOL = 1e-12
-# Round cap of the Lewis iteration.  A first change is a log-ratio of two
-# doubles, below 1500, so at contraction 3/4 the change is under _LEWIS_TOL
-# well before this many rounds.
-_LEWIS_ROUNDS = 200
+def _powered_leverage(q, w, z):
+    """v(w) of :func:`sup_ratios`, with the weighted rows scaled by w^(1/2 - 1/z)."""
+    qs = q * (w ** (0.5 - 1.0 / z))[:, None]
+    g = np.linalg.pinv(qs.T @ qs, hermitian=True)
+    return np.einsum("ij,jk,ik->i", q, g, q) ** (z / 2.0)
 
 
-def _lewis_weights(q, z):
-    """Upper bounds on the l_z Lewis weights of the rows of q.
+def _certified_bound(q, z):
+    """The bound of :func:`sup_ratios` on the rows of q (no zero rows, full column rank).
 
-    q has no zero rows and full column rank.  Iterates
-    w_i <- (q_i^T (q^T diag(w^(1 - 2/z)) q)^-1 q_i)^(z/2)  from the uniform
-    weights r/n.  For z < 4 the map contracts by c = |1 - z/2| per round in
-    the largest |log(w_i / w'_i)| (Cohen & Peng), so that change shrinks
-    every round in exact arithmetic.  The rounds stop once it is at most
-    ``_LEWIS_TOL``, once rounding keeps it from shrinking, or after
-    ``_LEWIS_ROUNDS``.  A last change delta leaves the iterate within
-    delta * c / (1 - c) of the weights in that metric, so the iterate is
-    scaled up by exp of that to stay an upper bound.
+    Starts from the uniform weights r/n and steps  w <- w^a * v(w)^(1 - a)
+    with a = (z - 2)/(z + 2), whose fixed point is the Lewis weights.
+    Linearised, the step contracts by |z - 2|/(z + 2) < 1 at every z >= 1
+    (Cohen & Peng's plain step, a = 0, diverges from z = 4 on).  Weights
+    are floored at the smallest normal double, so an underflowing weight
+    stays positive.  The rounds stop once the largest change of log w is
+    at most ``_BOUND_TOL`` or after ``_BOUND_ROUNDS``; the bound holds at
+    whichever w they stop.
     """
     n, r = q.shape
-    c = abs(1.0 - z / 2.0)
+    a = (z - 2.0) / (z + 2.0)
     w = np.full(n, r / n)
-    change = np.inf
-    for _ in range(_LEWIS_ROUNDS):
-        m = (q * (w ** (1.0 - 2.0 / z))[:, None]).T @ q
-        new = np.einsum("ij,jk,ik->i", q, np.linalg.inv(m), q) ** (z / 2.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = float(np.max(np.abs(np.log(new / w))))
-        if not np.isfinite(step):
-            raise ValueError("the Lewis weights of these rows leave the floating-point range")
-        last, change, w = change, step, new
-        if change <= _LEWIS_TOL or change >= last:
+    v = _powered_leverage(q, w, z)
+    for _ in range(_BOUND_ROUNDS):
+        new = np.maximum(w ** a * v ** (1.0 - a), np.finfo(np.float64).tiny)
+        if float(np.max(np.abs(np.log(new) - np.log(w)))) <= _BOUND_TOL:
             break
-    return w * np.exp(change * c / (1.0 - c))
-
-
-_GRID_POINTS = 100_000
-# Angles scored at once; bounds the (n, block) temporaries of the grid.
-_GRID_BLOCK = 1_000
-
-
-def _sup_ratios_grid(p, z):
-    if p.shape[1] == 1:
-        vals = np.abs(p[:, 0]) ** z
-        return vals / np.sum(vals)
-    theta = np.linspace(0.0, np.pi, _GRID_POINTS, endpoint=False)
-    best = np.full(p.shape[0], -np.inf)
-    for lo in range(0, _GRID_POINTS, _GRID_BLOCK):
-        block = theta[lo:lo + _GRID_BLOCK]
-        a = np.abs(p @ np.stack([np.cos(block), np.sin(block)])) ** z   # (n, block)
-        np.maximum(best, np.max(a / np.sum(a, axis=0), axis=1), out=best)
-    return best
-
-
-def _sup_ratio_ascent(p, i, z, restarts=16, iters=200, tol=1e-4):
-    """Multi-start projected gradient ascent on the unit sphere of the span.
-
-    Deterministic (fixed internal seed).  The best value over restarts is a
-    certified lower bound on the supremum; starts include the direction of
-    y_i itself, which is optimal in the orthogonal case.
-    """
-    n, r = p.shape
-    rng = np.random.default_rng(0)
-    w = rng.normal(size=(restarts, r))
-    w[0] = p[i]
-    w /= np.linalg.norm(w, axis=1)[:, None]
-
-    def value(wm):
-        a = np.abs(p @ wm.T) ** z
-        return a[i] / np.sum(a, axis=0)
-
-    best = value(w)
-    step = np.full(restarts, 0.5)
-    stall = 0
-    top = float(np.max(best))
-    for _ in range(iters):
-        a = p @ w.T                                   # (n, m)
-        absa = np.abs(a)
-        s = z * np.sign(a) * absa ** (z - 1.0)        # d|a|^z/da; finite for z >= 1
-        az = absa ** z
-        denom = np.sum(az, axis=0)
-        numer = az[i]
-        grad_n = s[i][:, None] * p[i][None, :]        # (m, r)
-        grad_d = s.T @ p                              # (m, r)
-        grad = (grad_n * denom[:, None] - numer[:, None] * grad_d) / (denom ** 2)[:, None]
-        grad -= np.sum(grad * w, axis=1)[:, None] * w
-        cand = w + step[:, None] * grad
-        cand /= np.linalg.norm(cand, axis=1)[:, None]
-        vals = value(cand)
-        improved = vals > best
-        step = np.where(improved, step * 1.25, step * 0.5)
-        w = np.where(improved[:, None], cand, w)
-        best = np.maximum(best, vals)
-        new_top = float(np.max(best))
-        if new_top - top <= tol * max(new_top, 1e-300):
-            stall += 1
-            if stall >= 10:
-                break
-        else:
-            stall = 0
-        top = new_top
-    return top
+        w = new
+        v = _powered_leverage(q, w, z)
+    if z >= 2.0:
+        return v * float(np.sum(w)) ** (z / 2.0 - 1.0)
+    return v * float(np.max(v / w)) ** (2.0 / z - 1.0)
 
 
 def subspace_sensitivity(data, subspace, z):
@@ -311,8 +196,8 @@ def subspace_sensitivity(data, subspace, z):
         sigma(x) = 2^(z-1) * dist(x, R)^z / cost
                  + 2^(2z-1) * sup_u |<y, u>|^z / sum |<y', u>|^z
 
-    The supremum term is :func:`sup_ratios` with ``method="auto"``: exact at
-    z = 2 and a Lewis-weight upper bound at the other z <= 3.5.  The first
+    The supremum term is :func:`sup_ratios`: the exact leverage score at
+    z = 2 and a certified upper bound at every other z >= 1.  The first
     term is dropped at zero reference cost; if every projection is the
     origin the supremum term degenerates to the uniform value 1/n.
     """
@@ -327,7 +212,8 @@ def flat_sensitivity(data, flat, z):
     Identical in shape to :func:`subspace_sensitivity`, except the supremum
     runs over affine functionals  y -> <y, u> - phi.  Appending a constant
     coordinate 1 to the projected points turns that into the linear
-    supremum one dimension up, which is how it is computed here.
+    supremum one dimension up, which is how it is computed here; the
+    supremum term is the :func:`sup_ratios` bound of the lifted points.
     """
     z = geometry._check_z(z)
     pts = geometry._checked_points("flat", data, flat)

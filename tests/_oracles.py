@@ -1,0 +1,97 @@
+"""Reference sup-ratios that the tests hold ``sensitivity.sup_ratios`` to.
+
+Both take a point set and score every row by
+
+    sup_u |<y_i, u>|^z / sum_j |<y_j, u>|^z
+
+over directions u of its span, computed the slow way; rows with no
+component in the span score 0, as in ``sup_ratios``.
+
+- :func:`grid_sup_ratios` (spans of dimension <= 2): the ratio at evenly
+  spaced directions, exact up to the grid spacing.
+- :func:`ascent_sup_ratios`: multi-start projected gradient ascent per
+  row, a lower bound on the supremum, O(n^2) in all.
+"""
+
+import numpy as np
+
+from projclust import geometry
+
+
+def span_coordinates(y):
+    """Coordinates of the rows of y in an orthonormal basis of their span."""
+    pts = geometry._points_of(y)
+    return pts @ geometry._orthonormal_rows(pts).T
+
+
+def grid_sup_ratios(y, z, points=100_000):
+    """The ratios at ``points`` evenly spaced directions, in one shot."""
+    p = span_coordinates(y)
+    if p.shape[1] > 2:
+        raise ValueError("grid search applies to spans of dimension <= 2")
+    if p.shape[1] == 1:
+        vals = np.abs(p[:, 0]) ** z
+        return vals / np.sum(vals)
+    theta = np.linspace(0.0, np.pi, points, endpoint=False)
+    a = np.abs(p @ np.stack([np.cos(theta), np.sin(theta)])) ** z   # (n, points)
+    return np.max(a / np.sum(a, axis=0), axis=1)
+
+
+def ascent_sup_ratios(y, z):
+    """:func:`sup_ratio_ascent` for every row with a component in the span."""
+    p = span_coordinates(y)
+    out = np.zeros(p.shape[0])
+    for i in range(p.shape[0]):
+        if np.any(p[i]):
+            out[i] = sup_ratio_ascent(p, i, z)
+    return out
+
+
+def sup_ratio_ascent(p, i, z, restarts=16, iters=200, tol=1e-4):
+    """Multi-start projected gradient ascent on the unit sphere of the span.
+
+    Deterministic (fixed internal seed).  The best value over restarts is a
+    certified lower bound on the supremum; starts include the direction of
+    y_i itself, which is optimal in the orthogonal case.
+    """
+    n, r = p.shape
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=(restarts, r))
+    w[0] = p[i]
+    w /= np.linalg.norm(w, axis=1)[:, None]
+
+    def value(wm):
+        a = np.abs(p @ wm.T) ** z
+        return a[i] / np.sum(a, axis=0)
+
+    best = value(w)
+    step = np.full(restarts, 0.5)
+    stall = 0
+    top = float(np.max(best))
+    for _ in range(iters):
+        a = p @ w.T                                   # (n, m)
+        absa = np.abs(a)
+        s = z * np.sign(a) * absa ** (z - 1.0)        # d|a|^z/da; finite for z >= 1
+        az = absa ** z
+        denom = np.sum(az, axis=0)
+        numer = az[i]
+        grad_n = s[i][:, None] * p[i][None, :]        # (m, r)
+        grad_d = s.T @ p                              # (m, r)
+        grad = (grad_n * denom[:, None] - numer[:, None] * grad_d) / (denom ** 2)[:, None]
+        grad -= np.sum(grad * w, axis=1)[:, None] * w
+        cand = w + step[:, None] * grad
+        cand /= np.linalg.norm(cand, axis=1)[:, None]
+        vals = value(cand)
+        improved = vals > best
+        step = np.where(improved, step * 1.25, step * 0.5)
+        w = np.where(improved[:, None], cand, w)
+        best = np.maximum(best, vals)
+        new_top = float(np.max(best))
+        if new_top - top <= tol * max(new_top, 1e-300):
+            stall += 1
+            if stall >= 10:
+                break
+        else:
+            stall = 0
+        top = new_top
+    return top

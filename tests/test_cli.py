@@ -411,7 +411,7 @@ def test_public_api_is_pinned():
         "JLMap", "sample_jl", "identity_map", "apply", "moment_bound_statistic",
         "moment_bound_threshold", "is_subspace_embedding", "distortion_range",
         "SensitivityProfile", "clustering_sensitivity", "subspace_sensitivity",
-        "flat_sensitivity", "line_sensitivity", "sup_ratio", "sup_ratios",
+        "flat_sensitivity", "line_sensitivity", "sup_ratios",
         "event_e4_statistic", "event_e4_bound",
         "Coreset", "sensitivity_sample", "line_coreset_1d", "line_coreset_klines",
         "coreset_size_bound", "PeelingPartition", "peel_partition",

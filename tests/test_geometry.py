@@ -144,6 +144,15 @@ def test_projection_dimension_mismatch():
 # Costs: worked examples
 
 
+def test_line_distances_of_points_on_the_line():
+    # |w|^2 - <w, u>^2 would leave about 1e-7 here, and a z = 1 cost of 3e-7
+    rng = np.random.default_rng(40)
+    ln = Line.through(rng.normal(size=4), rng.normal(size=4))
+    x = Dataset(ln.anchor + rng.normal(0.0, 3.0, (40, 1)) * ln.direction)
+    assert np.max(distances("lines", x, LineSet([ln]))) <= 1e-14
+    assert cost_pow("lines", x, LineSet([ln]), 1) <= 1e-12
+
+
 def test_cost_two_centers_line_points():
     x = Dataset([[0.0], [1.0], [4.0], [5.0]])
     c = CenterSet([[0.5], [4.5]])

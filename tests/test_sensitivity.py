@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,9 +10,11 @@ from projclust.coreset import _coreset_1d
 from projclust.sensitivity import (
     PEEL_CONSTANT, SensitivityProfile, _profile,
     clustering_sensitivity, subspace_sensitivity, flat_sensitivity,
-    line_sensitivity, sup_ratio, sup_ratios,
+    line_sensitivity, sup_ratios,
     event_e4_statistic, event_e4_bound,
 )
+
+from _oracles import ascent_sup_ratios, grid_sup_ratios
 
 
 def total_identity(z, k_nonempty):
@@ -133,55 +133,43 @@ def test_sup_ratio_leverage_sum_is_rank():
 
 def test_sup_ratio_zero_row_and_degenerate():
     y = np.array([[0.0, 0.0], [1.0, 2.0]])
-    assert sup_ratio(y, 0, 2) == 0.0
-    assert sup_ratio(y, 1, 2) == pytest.approx(1.0, abs=1e-12)
+    for z in (1, 2, 3):
+        got = sup_ratios(y, z)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        sup_ratio(np.zeros((3, 2)), 0, 2)
-    with pytest.raises(ValueError):
-        sup_ratio(y, 5, 2)
+        sup_ratios(np.zeros((3, 2)), 2)
 
 
 def test_sup_ratio_leverage_matches_grid():
     rng = np.random.default_rng(9)
     for _ in range(5):
         y = rng.normal(size=(6, 2))
-        npt.assert_allclose(sup_ratios(y, 2, method="grid"),
-                            sup_ratios(y, 2, method="leverage"), atol=1e-6)
+        npt.assert_allclose(grid_sup_ratios(y, 2), sup_ratios(y, 2), atol=1e-6)
+
+
+def test_sup_ratio_z2_is_the_leverage_score():
+    # at z = 2 the weights drop out and the bound is the leverage score
+    rng = np.random.default_rng(24)
+    for n, d in ((6, 2), (30, 3), (200, 3), (50, 7)):
+        y = rng.standard_t(2, size=(n, d))
+        p = y @ geometry._orthonormal_rows(y).T
+        g = np.linalg.pinv(p.T @ p, hermitian=True)
+        want = np.einsum("ij,jk,ik->i", p, g, p)
+        npt.assert_allclose(sup_ratios(y, 2), want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("z", [1, 1.3, 3])
 def test_sup_ratio_ascent_matches_grid(z):
-    # zero rows make |a|^(z-1) meet 0 ** 0 (z = 1) and 0 ** 0.3 (z = 1.3);
-    # a RuntimeWarning there fails the suite
+    # the two oracles agree; zero rows make |a|^(z-1) meet 0 ** 0 (z = 1)
+    # and 0 ** 0.3 (z = 1.3), and a RuntimeWarning there fails the suite
     rng = np.random.default_rng(10)
     for _ in range(5):
         y = np.vstack([rng.normal(size=(7, 2)), np.zeros((2, 2))])
-        g = sup_ratios(y, z, method="grid")
-        a = sup_ratios(y, z, method="ascent")
+        g = grid_sup_ratios(y, z)
+        a = ascent_sup_ratios(y, z)
         assert np.all(np.isfinite(a)) and np.all(a[7:] == 0.0)
         npt.assert_allclose(a, g, rtol=0.02, atol=1e-9)
-
-
-def test_sup_ratio_grid_matches_one_shot_grid():
-    rng = np.random.default_rng(17)
-    theta = np.linspace(0.0, np.pi, 100_000, endpoint=False)
-    u = np.stack([np.cos(theta), np.sin(theta)])
-    for z in (1.0, 1.3, 3.0):
-        y = rng.normal(size=(int(rng.integers(2, 12)), 2))
-        a = np.abs(geometry._points_of(y) @ geometry._orthonormal_rows(y).T @ u) ** z
-        want = np.max(a / np.sum(a, axis=0), axis=1)
-        assert sup_ratios(y, z, method="grid").tobytes() == want.tobytes()
-
-
-def test_sup_ratio_grid_memory_is_bounded():
-    y = np.random.default_rng(18).normal(size=(50, 2))
-    tracemalloc.start()
-    try:
-        sup_ratios(y, 1.3, method="grid")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("z", [1, 1.3, 2.5, 3.5])
@@ -200,51 +188,49 @@ def test_sup_ratio_lewis_rows_outside_the_numerical_span():
     y = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1e-20]])
     lew = sup_ratios(y, 1)
     npt.assert_allclose(lew, [1 / 3, 2 / 3, 0.0], rtol=1e-9)
-    assert np.all(sup_ratios(y, 1, method="ascent") <= lew * (1 + 1e-9))
+    assert np.all(ascent_sup_ratios(y, 1) <= lew * (1 + 1e-9))
 
 
-def test_sup_ratio_lewis_refuses_weights_out_of_range():
-    # the second weight, about 1e-400 before the power z/2, underflows to 0
-    with pytest.raises(ValueError, match="floating-point range"):
-        sup_ratios(np.array([[1.0, 0.0], [1e-200, 0.0]]), 1)
+def test_sup_ratio_bound_survives_underflowing_weights():
+    # the second weight underflows (about 1e-400 at z = 1); the floored
+    # weight still certifies, and the rows score their ratios 1 and
+    # 1e-200^z / 1 = 0, the first up to rounding (1 - 2^-53 at z = 3)
+    y = np.array([[1.0, 0.0], [1e-200, 0.0]])
+    for z in (1, 1.5, 3, 6):
+        got = sup_ratios(y, z)
+        assert np.all(np.isfinite(got)) and np.all((got >= 0.0) & (got <= 1.0))
+        assert got[0] == pytest.approx(1.0, rel=1e-15) and got[1] == 0.0
 
 
-def test_sup_ratio_auto_leaves_lewis_above_3_5():
-    # towards z = 4 the Lewis iteration slows without bound, so auto runs
-    # the grid (span dimension <= 2) or the ascent (above) there instead
+def test_sup_ratio_bound_dominates_oracles_above_3_5():
+    # the one iteration serves every z; above 3.5 it replaced the grid and
+    # the ascent, which must stay below it
     rng = np.random.default_rng(23)
-    for z in (3.5 + 1e-9, 3.99, 3.999999):
+    for z in (3.5 + 1e-9, 3.99, 4, 8):
         y2 = rng.standard_t(3, size=(12, 2))
-        assert sup_ratios(y2, z).tobytes() == sup_ratios(y2, z, method="grid").tobytes()
+        assert np.all(grid_sup_ratios(y2, z) <= sup_ratios(y2, z) * (1 + 1e-9))
         y3 = rng.standard_t(3, size=(12, 3))
-        assert sup_ratios(y3, z).tobytes() == sup_ratios(y3, z, method="ascent").tobytes()
+        assert np.all(ascent_sup_ratios(y3, z) <= sup_ratios(y3, z) * (1 + 1e-9))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.lists(
            st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=1, max_size=8)),
        st.lists(st.integers(0, 7), max_size=3),
+       st.lists(st.integers(0, 7), max_size=2),
        st.integers(0, 2))
-def test_sup_ratio_lewis_bounds_ascent(rows, repeats, zeros):
+def test_sup_ratio_lewis_bounds_ascent(rows, repeats, tiny, zeros):
     y = np.array(rows, dtype=np.float64)
     assume(np.any(y))
-    y = np.vstack([y, y[[i % len(y) for i in repeats]], np.zeros((zeros, y.shape[1]))])
+    n = len(y)
+    y = np.vstack([y, y[[i % n for i in repeats]], 1e-150 * y[[i % n for i in tiny]],
+                   np.zeros((zeros, y.shape[1]))])
     rank = np.linalg.matrix_rank(y)
-    for z in (1, 1.3, 1.5, 2.5, 3, 3.5):
-        lew = sup_ratios(y, z)
-        assert np.all(sup_ratios(y, z, method="ascent") <= lew * (1 + 1e-9))
+    for z in (1, 1.3, 2, 2.5, 3.5, 4, 5, 6, 8):
+        bound = sup_ratios(y, z)
+        assert np.all(ascent_sup_ratios(y, z) <= bound * (1 + 1e-9))
         if z <= 2:
-            assert lew.sum() == pytest.approx(rank, abs=1e-9)
-
-
-def test_sup_ratio_method_errors():
-    y = np.eye(3)
-    with pytest.raises(ValueError):
-        sup_ratios(y, 1, method="leverage")
-    with pytest.raises(ValueError):
-        sup_ratios(y, 2, method="grid")   # 3-d span
-    with pytest.raises(ValueError):
-        sup_ratios(y, 2, method="newton")
+            assert bound.sum() == pytest.approx(rank, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +271,19 @@ def test_flat_single_point_off_flat():
 
 
 def test_flat_translation_invariance():
+    # far from the origin the lifted projections are ill conditioned
+    # (condition number about 1e8 here), which the sup-ratio bound must survive
     rng = np.random.default_rng(12)
     x = rng.normal(size=(9, 3))
     r = Subspace.from_spanning(rng.normal(size=(1, 3)))
     f = Flat.from_point(r, rng.normal(size=3))
     v = rng.normal(size=3)
-    f2 = Flat.from_point(r, f.translation + v)
-    p1 = flat_sensitivity(Dataset(x), f, 2)
-    p2 = flat_sensitivity(Dataset(x + v), f2, 2)
-    npt.assert_allclose(p1.sigma, p2.sigma, atol=1e-9)
+    for z in (1, 2, 3):
+        for shift, tol in ((v, 1e-9), (1e8 * v, 1e-6)):
+            f2 = Flat.from_point(r, f.translation + shift)
+            p1 = flat_sensitivity(Dataset(x), f, z)
+            p2 = flat_sensitivity(Dataset(x + shift), f2, z)
+            npt.assert_allclose(p1.sigma, p2.sigma, rtol=tol, atol=tol)
 
 
 def test_line_sensitivity_layers():
