@@ -101,11 +101,12 @@ def line_coreset_1d(y, k):
     return _coreset_1d(_collinear_positions(pts), k)
 
 
-def _coreset_1d(positions, k):
-    """:func:`line_coreset_1d` on the points' 1-d coordinates along their line."""
-    order, pos_sorted = _canonical_order(positions)
+def _coreset_1d(positions, k, sweeps=None):
+    """:func:`line_coreset_1d` on the points' 1-d coordinates along their
+    line; ``sweeps`` is as for :func:`_canonical_order`."""
+    order, pos_sorted = _canonical_order(positions, sweeps)
     chosen = set()
-    _recurse_1d(order, pos_sorted, 0, positions.shape[0], k, chosen)
+    _recurse_1d(order, pos_sorted, 0, order.shape[0], k, chosen)
     return np.array(sorted(chosen), dtype=np.int64)
 
 
@@ -125,16 +126,24 @@ def _collinear_positions(pts):
     return positions
 
 
-def _canonical_order(positions):
+def _sweeps(positions):
+    """Both sweep orders of ``positions``, ties to the lower index."""
+    idx = np.arange(positions.shape[0])
+    return np.lexsort((idx, positions)), np.lexsort((idx, -positions))
+
+
+def _canonical_order(positions, sweeps=None):
     """Sorted order that any invertible affine reparametrization reproduces.
 
     Both sweep directions are sorted with index tie-breaks and the one whose
     index sequence is lexicographically smaller wins; a linear map can only
     swap the two sweeps, so the chosen order is reparametrization-stable.
+    ``sweeps`` may give both sweeps of some of the points, as indices into
+    ``positions``; then only those are ordered.  Dropping points from the
+    sweeps of all of them keeps the index order that breaks ties, so it
+    yields the sweeps of the points left without sorting again.
     """
-    idx = np.arange(positions.shape[0])
-    fwd = np.lexsort((idx, positions))
-    rev = np.lexsort((idx, -positions))
+    fwd, rev = _sweeps(positions) if sweeps is None else sweeps
     first = int(np.argmax(fwd != rev))   # 0 when the sweeps agree throughout
     if fwd[first] <= rev[first]:
         return fwd, positions[fwd]
@@ -212,18 +221,19 @@ def _checked_labels(lines, labels, n):
 def _line_groups(pts, lines, labels):
     """Per line with points, in line order: the indices of its points and,
     for each of them, the distance to the line, the norm and the position
-    along the line.  None of these depends on which other points are left,
-    so peeling computes them once."""
+    along the line, and both sweeps of the positions.  None of these depends
+    on which other points are left, so peeling computes them once."""
     groups = []
     for j, ln in enumerate(lines.lines):
         idxs = np.flatnonzero(labels == j)
         if idxs.size == 0:
             continue
         sub = pts[idxs]
+        pos = (sub - ln.anchor) @ ln.direction
         groups.append((idxs,
                        np.linalg.norm(sub - project_line(sub, ln), axis=1),
                        np.linalg.norm(sub, axis=1),
-                       (sub - ln.anchor) @ ln.direction))
+                       pos, _sweeps(pos)))
     return groups
 
 
@@ -232,14 +242,14 @@ def _klines(groups, left, k):
     set; ``groups`` is :func:`_line_groups` of all the points.  Each line
     checks its points left against the largest norm among them."""
     out = []
-    for idxs, res, norms, pos in groups:
+    for idxs, res, norms, pos, (fwd, rev) in groups:
         keep = left[idxs]
         if not np.any(keep):
             continue
         scale = max(1.0, float(np.max(norms[keep])))
         if float(np.max(res[keep])) > _ONLINE_TOL * scale:
             raise ValueError("a point does not lie on its assigned line")
-        out.append(idxs[keep][_coreset_1d(pos[keep], k)])
+        out.append(idxs[_coreset_1d(pos, k, (fwd[keep[fwd]], rev[keep[rev]]))])
     return np.sort(np.concatenate(out)).astype(np.int64, copy=False)
 
 

@@ -308,8 +308,12 @@ def _points_of(data):
     return _as_matrix(data)
 
 
-def _sq_dists_to_centers(pts, centers):
-    sq = (np.sum(pts * pts, axis=1)[:, None]
+def _sq_dists_to_centers(pts, centers, pts_sq=None):
+    # pts_sq, the squared row norms of pts, lets a caller that asks for many
+    # center sets compute them once
+    if pts_sq is None:
+        pts_sq = np.sum(pts * pts, axis=1)
+    sq = (pts_sq[:, None]
           + np.sum(centers * centers, axis=1)[None, :]
           - 2.0 * pts @ centers.T)
     np.maximum(sq, 0.0, out=sq)

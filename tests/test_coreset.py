@@ -9,7 +9,7 @@ from projclust.coreset import (
     Coreset, sensitivity_sample,
     line_coreset_1d, line_coreset_klines, coreset_size_bound,
     PeelingPartition, peel_partition,
-    _canonical_order,
+    _canonical_order, _coreset_1d,
 )
 
 
@@ -253,7 +253,8 @@ def test_peeling_pairs_off_collinear_points():
 
 
 def reference_peel(pts, lines, labels):
-    """Peeling as a per-layer loop of k-line coresets of the remaining points."""
+    """Peeling as a per-layer loop of k-line coresets of the remaining points,
+    each line's remaining positions sorted afresh on every layer."""
     labels = np.asarray(labels)
     n = pts.shape[0]
     if labels.shape != (n,):
@@ -261,16 +262,24 @@ def reference_peel(pts, lines, labels):
     remaining = np.arange(n, dtype=np.int64)
     layers = []
     while remaining.size:
-        local = line_coreset_klines(pts[remaining], lines, labels[remaining])
-        layers.append(remaining[local])
+        line_coreset_klines(pts[remaining], lines, labels[remaining])   # its refusals
+        layer = []
+        for j, ln in enumerate(lines.lines):
+            idxs = remaining[labels[remaining] == j]
+            if idxs.size:
+                pos = (pts[idxs] - ln.anchor) @ ln.direction
+                layer.append(idxs[_coreset_1d(pos, lines.k)])
+        layers.append(np.sort(np.concatenate(layer)))
         remaining = np.setdiff1d(remaining, layers[-1], assume_unique=True)
     return PeelingPartition(layers, n)
 
 
-def points_on_lines(rng, k, n, d=3):
+def points_on_lines(rng, k, n, d=3, tied=False):
     lines = [Line.through(rng.normal(size=d), rng.normal(size=d)) for _ in range(k)]
     labels = rng.integers(k, size=n)
-    params = rng.normal(0, 3, n)
+    # tied: a few distinct positions per line, so the sweeps' index
+    # tie-breaks decide the order
+    params = rng.integers(-3, 4, n).astype(np.float64) if tied else rng.normal(0, 3, n)
     pts = np.stack([lines[j].anchor + params[i] * lines[j].direction
                     for i, j in enumerate(labels)])
     return pts, lines, labels
@@ -278,9 +287,11 @@ def points_on_lines(rng, k, n, d=3):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_peel_partition_matches_per_layer_reference(k):
+    # the reference sorts the points left on every layer; peel_partition
+    # sorts each line once and filters
     rng = np.random.default_rng(40 + k)
-    for _ in range(6):
-        pts, lines, labels = points_on_lines(rng, k, int(rng.integers(5, 120)))
+    for tied in [False] * 6 + [True] * 6:
+        pts, lines, labels = points_on_lines(rng, k, int(rng.integers(5, 120)), tied=tied)
         shared = LineSet(lines)
         padded = LineSet(lines + [Line(lines[0].anchor.copy(), lines[0].direction.copy())])
         for ls in (shared, padded):
