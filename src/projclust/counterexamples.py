@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 
-# The largest dense instance matrix the generators build, in bytes.
+# The largest dense instance matrix the generators build, and the largest
+# map counterexample_trial samples, in bytes.
 _MAX_INSTANCE_BYTES = 2 ** 30
 
 
@@ -38,12 +39,16 @@ def _check_instance(n, cols):
     """Refuse n < 2, or an (n, cols) float64 matrix above _MAX_INSTANCE_BYTES."""
     if n < 2:
         raise ValueError("need at least two points")
-    nbytes = 8 * int(n) * int(cols)
+    _check_bytes(f"a dense {n} x {cols} instance", n, cols,
+                 "; counterexample_trial projects it without building it")
+
+
+def _check_bytes(what, rows, cols, hint=""):
+    """Refuse a (rows, cols) float64 array above _MAX_INSTANCE_BYTES."""
+    nbytes = 8 * int(rows) * int(cols)
     if nbytes > _MAX_INSTANCE_BYTES:
-        raise ValueError(
-            f"a dense {n} x {cols} instance needs {nbytes} bytes, above the "
-            f"{_MAX_INSTANCE_BYTES}-byte limit; counterexample_trial projects "
-            f"it without building it")
+        raise ValueError(f"{what} needs {nbytes} bytes, above the "
+                         f"{_MAX_INSTANCE_BYTES}-byte limit{hint}")
 
 
 def gen_medoid_instance(n):
@@ -68,14 +73,17 @@ def medoid_cost(points):
     """min_j sum_i ||x_i - x_j||^2 with the center restricted to the rows.
 
     Uses the expansion ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 <x_i, x_j>
-    so the whole sweep is O(n d).
+    so the whole sweep is O(n d).  The sweep runs on the (d, n) transpose,
+    a view that is C-contiguous when the points are the transpose of a map,
+    with two-operand ``einsum`` reductions over its short axis: no BLAS call
+    and no copy of the points.
     """
-    x = np.asarray(points, dtype=float)
-    norms_sq = np.sum(x * x, axis=1)
+    xt = np.asarray(points, dtype=float).T
+    norms_sq = np.einsum("ij,ij->j", xt, xt)
     total = float(np.sum(norms_sq))
-    s = np.sum(x, axis=0)
-    per_center = total + len(x) * norms_sq - 2.0 * (x @ s)
-    return float(np.min(per_center))
+    per_center = np.einsum("i,ij->j", -2.0 * np.sum(xt, axis=1), xt)
+    per_center += xt.shape[1] * norms_sq
+    return total + float(np.min(per_center))
 
 
 def css_cost(points):
@@ -83,17 +91,22 @@ def css_cost(points):
 
     Rows that are exactly zero span nothing and are skipped as candidates;
     if every row is zero the residual is the total mass (which is then 0).
+    Row i captures x_i' S x_i / ||x_i||^2 of the mass, S the (d, d)
+    scatter; like :func:`medoid_cost` it is computed on the (d, n)
+    transpose with two-operand ``einsum`` reductions and no BLAS call.
     """
-    x = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(x, axis=1)
-    total = float(np.sum(norms ** 2))
-    keep = norms > 0
+    xt = np.asarray(points, dtype=float).T
+    norms_sq = np.einsum("ij,ij->j", xt, xt)
+    total = float(np.sum(norms_sq))
+    keep = norms_sq > 0
     if not np.any(keep):
         return total
-    u = x[keep] / norms[keep, None]
-    scatter = x.T @ x                       # (d, d): cheap when d << n
-    captured = np.einsum("ij,jk,ik->i", u, scatter, u)
-    return float(total - np.max(captured))
+    # the (d, d) scatter, summed pairwise along n, over the total keeps quad
+    # on the scale of norms_sq: neither underflows nor overflows where the
+    # norms do not
+    scatter = np.array([np.sum(row * xt, axis=1) for row in xt]) / total
+    quad = np.einsum("ij,ij->j", np.einsum("ik,kj->ij", scatter, xt), xt)
+    return float(total - total * np.max(quad[keep] / norms_sq[keep]))
 
 
 def medoid_optimum(n):
@@ -129,21 +142,23 @@ class RatioReport:
 def counterexample_trial(which, n, t, seed):
     """Project one hard instance and compare costs.
 
-    ``which`` is "medoid" or "css".  The projected point set is assembled
-    straight from columns of the sampled map, so the cost of a trial is
-    O(n t) time and memory even for n in the tens of thousands.
+    ``which`` is "medoid" or "css".  The projected point set is read
+    straight from columns of the sampled (t, n) or (t, n + 1) map and kept
+    in that layout, so a trial takes O(n t) time and, counting the map,
+    about two map-sizes of memory for medoid and three for css; its
+    cost kernels make no BLAS call.  A map above 2^30 bytes is refused
+    before it is sampled.
     """
     if n < 2:
         raise ValueError("need at least two points")
+    if which not in ("medoid", "css"):
+        raise ValueError(f"unknown instance family: {which!r}")
+    d = n if which == "medoid" else n + 1
+    _check_bytes(f"a {t} x {d} map", t, d)
+    m = sample_jl(d, t, seed).matrix
     if which == "medoid":
-        pi = sample_jl(n, t, seed)
-        proj = pi.matrix.T.copy()                     # row i = pi @ e_i
         return RatioReport(which, n, t, seed, medoid_optimum(n),
-                           medoid_cost(proj))
-    if which == "css":
-        pi = sample_jl(n + 1, t, seed)
-        cols = pi.matrix.T                            # (n+1, t)
-        proj = (cols[:n] + cols[n]) / np.sqrt(2.0)
-        return RatioReport(which, n, t, seed, css_optimum(n),
-                           css_cost(proj))
-    raise ValueError(f"unknown instance family: {which!r}")
+                           medoid_cost(m.T))            # row i = pi @ e_i
+    proj = (m[:, :n] + m[:, n:]) / np.sqrt(2.0)         # (t, n)
+    del m                                               # one map-size less
+    return RatioReport(which, n, t, seed, css_optimum(n), css_cost(proj.T))

@@ -22,12 +22,21 @@ class JLMap:
     """
 
     def __init__(self, matrix, seed=0):
-        m = np.asarray(matrix, dtype=np.float64)
+        self._take(np.array(matrix, dtype=np.float64), seed)   # a private copy
+
+    @classmethod
+    def _own(cls, matrix, seed):
+        """A map that takes ``matrix``, a fresh float64 array, without a copy."""
+        pi = cls.__new__(cls)
+        pi._take(matrix, seed)
+        return pi
+
+    def _take(self, m, seed):
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"matrix must be a non-empty 2-d array, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix must contain only finite values")
-        self.matrix = m.copy()
+        self.matrix = m
         self.matrix.setflags(write=False)
         self.t, self.d = m.shape
         self.seed = int(seed)
@@ -43,8 +52,7 @@ def sample_jl(d, t, seed, stream=0):
     if d < 1 or t < 1:
         raise ValueError("d and t must be positive")
     rng = rng_stream(seed, stream)
-    m = rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, d))
-    return JLMap(m, seed=seed)
+    return JLMap._own(rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, d)), seed)
 
 
 def identity_map(d):

@@ -1,16 +1,21 @@
-"""Reference sup-ratios that the tests hold ``sensitivity.sup_ratios`` to.
+"""Slow reference implementations that the tests hold the library to.
 
-Both take a point set and score every row by
+The sup-ratio references take a point set and score every row by
 
     sup_u |<y_i, u>|^z / sum_j |<y_j, u>|^z
 
 over directions u of its span, computed the slow way; rows with no
-component in the span score 0, as in ``sup_ratios``.
+component in the span score 0, as in ``sensitivity.sup_ratios``.
 
 - :func:`grid_sup_ratios` (spans of dimension <= 2): the ratio at evenly
   spaced directions, exact up to the grid spacing.
 - :func:`ascent_sup_ratios`: multi-start projected gradient ascent per
   row, a lower bound on the supremum, O(n^2) in all.
+
+The counterexample cost references :func:`ref_medoid_cost` and
+:func:`ref_css_cost` work row by row on the (n, d) points with BLAS
+products, the layout ``counterexamples`` used before its kernels moved to
+the (d, n) transpose.
 """
 
 import numpy as np
@@ -95,3 +100,27 @@ def sup_ratio_ascent(p, i, z, restarts=16, iters=200, tol=1e-4):
             stall = 0
         top = new_top
     return top
+
+
+def ref_medoid_cost(points):
+    """min_j sum_i ||x_i - x_j||^2 over centers x_j, row-major."""
+    x = np.asarray(points, dtype=float)
+    norms_sq = np.sum(x * x, axis=1)
+    total = float(np.sum(norms_sq))
+    s = np.sum(x, axis=0)
+    per_center = total + len(x) * norms_sq - 2.0 * (x @ s)
+    return float(np.min(per_center))
+
+
+def ref_css_cost(points):
+    """Best squared residual onto the span of one nonzero row, row-major."""
+    x = np.asarray(points, dtype=float)
+    norms = np.linalg.norm(x, axis=1)
+    total = float(np.sum(norms ** 2))
+    keep = norms > 0
+    if not np.any(keep):
+        return total
+    u = x[keep] / norms[keep, None]
+    scatter = x.T @ x
+    captured = np.einsum("ij,jk,ik->i", u, scatter, u)
+    return float(total - np.max(captured))

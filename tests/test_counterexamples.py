@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import ref_css_cost, ref_medoid_cost
 from projclust.jl import apply, sample_jl
 from projclust.counterexamples import (
     gen_medoid_instance, gen_css_instance,
@@ -96,6 +98,32 @@ def test_generators_refuse_a_huge_dense_matrix_before_allocating(gen, cols):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("which,d", [("medoid", 10 ** 8), ("css", 10 ** 8 + 1)])
+def test_trial_refuses_a_huge_map_before_sampling(which, d):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"a 3 x {d} map needs {24 * d} bytes"):
+            counterexample_trial(which, 10 ** 8, 3, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("which,d_extra,bound", [("medoid", 0, 2.5), ("css", 1, 4.0)])
+def test_trial_memory_in_map_sizes(which, d_extra, bound):
+    # the map itself is one map-size; the kernels read it in place
+    n, t = 200_000, 3
+    counterexample_trial(which, 100, t, 0)              # warm up numpy
+    tracemalloc.start()
+    try:
+        counterexample_trial(which, n, t, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 8 * t * (n + d_extra)
+
+
 def test_generators_size_limit_is_two_to_the_thirty_bytes():
     # 8 * 11585**2 bytes fit in 2**30 (not built here: a gigabyte); one more
     # column does not
@@ -103,6 +131,32 @@ def test_generators_size_limit_is_two_to_the_thirty_bytes():
         gen_medoid_instance(11586)
     with pytest.raises(ValueError, match="1073790480 bytes"):
         gen_css_instance(11585)
+
+
+@st.composite
+def point_sets(draw):
+    """(n, d) float arrays, d > n allowed, some rows zero, C- or F-ordered.
+
+    Entries are 0 or of magnitude 1e-150 to 1e3, so every squared norm is a
+    normal float: below that both kernels lose precision, differently.
+    """
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 14))
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-150, 1e3))
+    vals = draw(st.lists(st.tuples(magnitude, st.sampled_from((-1.0, 1.0))),
+                         min_size=n * d, max_size=n * d))
+    vals = [m * sign for m, sign in vals]
+    x = np.array(vals).reshape(n, d)
+    x[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    return np.asarray(x, order=draw(st.sampled_from("CF")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_kernels_match_the_row_major_references(x):
+    mass = float(np.sum(x * x))
+    assert abs(medoid_cost(x) - ref_medoid_cost(x)) <= 1e-12 * mass
+    assert abs(css_cost(x) - ref_css_cost(x)) <= 1e-12 * mass
 
 
 def test_column_trick_matches_direct_projection():

@@ -37,6 +37,26 @@ def test_sample_jl_deterministic_and_shaped():
         sample_jl(0, 5, seed=1)
 
 
+def test_sampled_matrix_is_owned_and_read_only_and_given_ones_are_copied():
+    tracemalloc.start()
+    try:
+        m = sample_jl(100_000, 4, seed=3).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.flags.owndata and not m.flags.writeable
+    assert peak < 1.5 * m.nbytes                   # the draw, not a copy of it
+    arr = np.arange(12.0).reshape(3, 4)
+    pi = JLMap(arr)
+    arr[0, 0] = 99.0
+    assert pi.matrix[0, 0] == 0.0 and not pi.matrix.flags.writeable
+    for bad in (np.array([[1.0, np.nan]]), np.array([[np.inf]])):
+        with pytest.raises(ValueError, match="finite"):
+            JLMap(bad)
+        with pytest.raises(ValueError, match="finite"):
+            JLMap._own(bad, 0)
+
+
 def test_sample_jl_entry_statistics():
     d, t = 1000, 50
     p = sample_jl(d, t, seed=1)
