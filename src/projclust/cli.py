@@ -43,7 +43,8 @@ def _run_tasks(worker, tasks):
     workers = min(_num_threads(), max(len(tasks), 1))
     if workers <= 1:
         return [worker(t) for t in tasks]
-    # Worth its memory: numpy releases the GIL, so counterexample (n = 10^6, t = 3) runs 1.8x faster on 2 cores than on 1.
+    # Worth its memory: numpy releases the GIL, so counterexample
+    # (n = 10^6, t = 3) runs 1.8x faster on 2 cores than on 1.
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 

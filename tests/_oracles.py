@@ -14,8 +14,8 @@ component in the span score 0, as in ``sensitivity.sup_ratios``.
 
 The counterexample cost references :func:`ref_medoid_cost` and
 :func:`ref_css_cost` work row by row on the (n, d) points with BLAS
-products, the layout ``counterexamples`` used before its kernels moved to
-the (d, n) transpose.
+products and a normalised copy of the rows: a summation order independent
+of the (d, n) kernels in ``counterexamples``.
 """
 
 import numpy as np

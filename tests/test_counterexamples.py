@@ -110,7 +110,7 @@ def test_trial_refuses_a_huge_map_before_sampling(which, d):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("which,d_extra,bound", [("medoid", 0, 2.5), ("css", 1, 4.0)])
+@pytest.mark.parametrize("which,d_extra,bound", [("medoid", 0, 2.5), ("css", 1, 3.0)])
 def test_trial_memory_in_map_sizes(which, d_extra, bound):
     # the map itself is one map-size; the kernels read it in place
     n, t = 200_000, 3
