@@ -17,6 +17,8 @@ projection matrix -- no ``n x n`` identity matrix is ever materialised.
   instance is ``(e_{n+1} + e_i) / sqrt(2)`` for ``i = 1, ..., n``.
 """
 
+import math
+
 import numpy as np
 
 from .geometry import Dataset
@@ -33,6 +35,9 @@ __all__ = [
 # The largest dense instance matrix the generators build, and the largest
 # map counterexample_trial samples, in bytes.
 _MAX_INSTANCE_BYTES = 2 ** 30
+# Below this total mass the squared entries that make it up reach the
+# subnormal range and lose digits, so the cost kernels rescale first.
+_TINY_TOTAL = 2.0 ** -900
 
 
 def _check_instance(n, cols):
@@ -69,6 +74,17 @@ def gen_css_instance(n):
     return Dataset(pts / np.sqrt(2.0))
 
 
+def _tiny_exponent(xt, total):
+    """The e with 2^(e-1) <= max |x| < 2^e when ``total`` is below _TINY_TOTAL
+    and x is not all zero, else 0.  Both cost kernels are homogeneous of
+    degree 2, so they return cost(x * 2^-e) * 2^(2e) for such inputs: exact
+    power-of-two scalings, with every square back in the normal range."""
+    if total >= _TINY_TOTAL:
+        return 0
+    top = float(np.max(np.abs(xt), initial=0.0))
+    return math.frexp(top)[1] if top > 0.0 else 0
+
+
 def medoid_cost(points):
     """min_j sum_i ||x_i - x_j||^2 with the center restricted to the rows.
 
@@ -81,6 +97,9 @@ def medoid_cost(points):
     xt = np.asarray(points, dtype=float).T
     norms_sq = np.einsum("ij,ij->j", xt, xt)
     total = float(np.sum(norms_sq))
+    e = _tiny_exponent(xt, total)
+    if e:
+        return math.ldexp(medoid_cost(np.ldexp(xt, -e).T), 2 * e)
     per_center = np.einsum("i,ij->j", -2.0 * np.sum(xt, axis=1), xt)
     per_center += xt.shape[1] * norms_sq
     return total + float(np.min(per_center))
@@ -98,6 +117,9 @@ def css_cost(points):
     xt = np.asarray(points, dtype=float).T
     norms_sq = np.einsum("ij,ij->j", xt, xt)
     total = float(np.sum(norms_sq))
+    e = _tiny_exponent(xt, total)
+    if e:
+        return math.ldexp(css_cost(np.ldexp(xt, -e).T), 2 * e)
     keep = norms_sq > 0
     if not np.any(keep):
         return total

@@ -365,12 +365,17 @@ def distances(problem, data, solution):
     """
     pts = _checked_points(problem, data, solution)
     if problem == "clustering":
-        return np.sqrt(np.min(_sq_dists_to_centers(pts, solution.centers), axis=1))
+        return _nearest(_sq_dists_to_centers(pts, solution.centers))
     if problem == "subspace":
         return np.linalg.norm(pts - project_subspace(pts, solution), axis=1)
     if problem == "flat":
         return np.linalg.norm(pts - project_flat(pts, solution), axis=1)
-    return np.sqrt(np.min(_sq_dists_to_lines(pts, solution.lines), axis=1))
+    return _nearest(_sq_dists_to_lines(pts, solution.lines))
+
+
+def _nearest(sq):
+    """Distance to the nearest shape, from an (n, k) squared-distance matrix."""
+    return np.sqrt(np.min(sq, axis=1))
 
 
 def assignment(problem, data, solution):
@@ -388,8 +393,14 @@ def assignment(problem, data, solution):
 
 def cost_pow(problem, data, solution, z):
     """Sum of z-th powers of distances, weighted if data is a WeightedSet."""
-    z = _check_z(z)
-    vals = distances(problem, data, solution) ** z
+    return _pow_sum(data, distances(problem, data, solution), _check_z(z))
+
+
+def _pow_sum(data, dist, z):
+    """Sum of ``dist ** z``, weighted if data is a WeightedSet: the cost of
+    per-point distances, shared by :func:`cost_pow` and solvers that already
+    hold them."""
+    vals = dist ** z
     if isinstance(data, WeightedSet):
         return float(np.sum(data.weights * vals))
     return float(np.sum(vals))

@@ -125,15 +125,17 @@ def _descent_center(pts, w, z, max_iter=500, tol=1e-8):
                     max_iter, tol)[0]
 
 
-def opt_center(pts, z, weights=None):
-    """The best single center for a weighted point set under power z."""
-    pts = geometry._points_of(pts)
-    w = np.ones(pts.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
-    z = geometry._check_z(z)
+def _center(pts, w, z):
+    """:func:`opt_center` on checked (n, d) points, (n,) weights and z."""
     if pts.shape[0] == 1:
         return pts[0].copy()
     if z == 2.0:
-        return np.average(pts, axis=0, weights=w)
+        # np.average(pts, axis=0, weights=w) by the same arithmetic, without
+        # its argument checks; like it, refuses weights that sum to zero
+        total = w.sum()
+        if total == 0.0:
+            raise ZeroDivisionError("Weights sum to zero, can't be normalized")
+        return np.multiply(pts, w[:, None]).sum(axis=0) / total
     if z == 1.0:
         if pts.shape[1] == 1:
             return np.array([_weighted_median_1d(pts[:, 0], w)])
@@ -141,6 +143,13 @@ def opt_center(pts, z, weights=None):
         return _irls(pts, w, 0, z, np.average(pts, axis=0, weights=w),
                      np.empty((0, pts.shape[1])), True)[0]
     return _descent_center(pts, w, z)
+
+
+def opt_center(pts, z, weights=None):
+    """The best single center for a weighted point set under power z."""
+    pts = geometry._points_of(pts)
+    w = np.ones(pts.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    return _center(pts, w, geometry._check_z(z))
 
 
 # ---------------------------------------------------------------------------
@@ -196,42 +205,61 @@ def _alternate(pts, w, shapes, sq_dists, refit, revive):
     ``sq_dists(pts, shapes)`` is the (n, k) squared-distance matrix; ties go
     to the lowest index.  A shape whose group is empty is replaced by
     ``revive(point, shape)`` at the worst-served point; a non-empty group
-    gets ``refit(group_pts, group_w, shape)``.  Stops when an assignment
-    repeats, or after 100 rounds.  Returns (shapes, converged).
+    gets ``refit(group_pts, group_w, shape)``.  Each round sorts the rows by
+    group once, stably, so every refit sees its rows in their original
+    order, as a contiguous slice of one reused buffer (which ``refit``
+    must not keep).  Stops when an
+    assignment repeats, or after 100 rounds.  Returns (shapes, converged,
+    sq), ``sq`` the matrix of the returned shapes when converged, else None.
     """
     shapes = list(shapes)
+    k = len(shapes)
+    gp, gw = np.empty_like(pts), np.empty_like(w)
     prev = None
     for _ in range(100):
         sq = sq_dists(pts, shapes)
         assign = np.argmin(sq, axis=1)
-        for b in range(len(shapes)):
-            if not np.any(assign == b):
-                far = int(np.argmax(np.sqrt(np.min(sq, axis=1))))
+        sizes = np.bincount(assign, minlength=k)
+        for b in range(k):
+            if sizes[b] == 0:
+                far = int(np.argmax(geometry._nearest(sq)))
                 shapes[b] = revive(pts[far], shapes[b])
                 sq = sq_dists(pts, shapes)
                 assign = np.argmin(sq, axis=1)
+                sizes = np.bincount(assign, minlength=k)
         if prev is not None and np.array_equal(assign, prev):
-            return shapes, True
+            return shapes, True, sq
         prev = assign
-        for b in range(len(shapes)):
-            mask = assign == b
-            if np.any(mask):
-                shapes[b] = refit(pts[mask], w[mask], shapes[b])
-    return shapes, False
+        # labels narrowed to the smallest unsigned type sort by radix
+        order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
+        # mode="clip" lets take fill ``out`` without a buffer; order is in range
+        np.take(pts, order, axis=0, out=gp, mode="clip")
+        np.take(w, order, out=gw, mode="clip")
+        end = 0
+        for b in range(k):
+            start, end = end, end + sizes[b]
+            if end > start:
+                shapes[b] = refit(gp[start:end], gw[start:end], shapes[b])
+    return shapes, False, None
 
 
 def _best_of_restarts(problem, data, z, restarts, fit, method, rank=None):
     """Report on the cheapest ``fit(r)`` over r < restarts.
 
-    ``fit(r)`` returns (solution, converged); the first restart fitted wins
-    ties.  Given ``rank``, every restart is scored by ``rank(r)`` and only
-    the _POLISHED lowest (ties to the lower r) are fitted, lowest first.
+    ``fit(r)`` returns (solution, converged, sq): ``sq`` is the (n, k)
+    squared-distance matrix of the solution, which scores it without a
+    second :func:`geometry.cost_pow` pass, or None.  The first restart fitted
+    wins ties.  Given ``rank``, every restart is scored by ``rank(r)`` and
+    only the _POLISHED lowest (ties to the lower r) are fitted, lowest first.
     """
     tried = range(restarts) if rank is None else sorted(range(restarts), key=rank)[:_POLISHED]
     best = (np.inf, None, False)
     for r in tried:
-        sol, converged = fit(r)
-        cp = geometry.cost_pow(problem, data, sol, z)
+        sol, converged, sq = fit(r)
+        if sq is None:
+            cp = geometry.cost_pow(problem, data, sol, z)
+        else:
+            cp = geometry._pow_sum(data, geometry._nearest(sq), z)
         if cp < best[0]:
             best = (cp, sol, converged)
     return _report(problem, data, best[1], z, method, restarts, best[2])
@@ -272,12 +300,20 @@ def _clustering_exact(data, pts, w, k, z):
 
 
 def _dz_seed(pts, w, k, z, rng):
-    """Cost-proportional seeding: each new center drawn by current power-z cost."""
+    """Cost-proportional seeding: each new center drawn by current power-z cost.
+
+    The distance to the newest center is ``np.linalg.norm``'s arithmetic
+    (square, sum along the row, root), worked in one reused (n, d) buffer.
+    """
     n = pts.shape[0]
     centers = [pts[int(rng.integers(n))]]
     dist = np.full(n, np.inf)      # distance to the nearest center so far
+    diff = np.empty_like(pts)
     for _ in range(k - 1):
-        dist = np.minimum(dist, np.linalg.norm(pts - centers[-1], axis=1))
+        np.subtract(pts, centers[-1], out=diff)
+        np.multiply(diff, diff, out=diff)
+        new = np.add.reduce(diff, axis=1)
+        np.minimum(dist, np.sqrt(new, out=new), out=dist)
         p = w * dist ** z
         tot = p.sum()
         if tot <= 0:
@@ -301,12 +337,12 @@ def _lloyd(data, pts, w, k, z, restarts, seed):
     pts_sq = np.sum(pts * pts, axis=1)
 
     def fit(r):
-        centers, converged = _alternate(
+        centers, converged, sq = _alternate(
             pts, w, _dz_seed(pts, w, k, z, rng_stream(seed, r)),
             lambda p, cs: geometry._sq_dists_to_centers(p, np.vstack(cs), pts_sq),
-            lambda gp, gw, c: opt_center(gp, z, gw),
+            lambda gp, gw, c: _center(gp, gw, z),
             lambda far, c: far)
-        return CenterSet(np.vstack(centers)), converged
+        return CenterSet(np.vstack(centers)), converged, sq
 
     return _best_of_restarts("clustering", data, z, restarts, fit, "lloyd-multirestart")
 
@@ -413,7 +449,7 @@ def _frame_search(problem, data, pts, w, k, z, restarts, seed, first, polish, me
                 np.vstack([basis, rng.normal(size=(k - basis.shape[0], d))]))
         starts.append((anchor, basis[:k]))
     return _best_of_restarts(
-        problem, data, z, restarts, lambda r: polish(*starts[r]), method,
+        problem, data, z, restarts, lambda r: (*polish(*starts[r]), None), method,
         rank=lambda r: _subspace_cost(pts - starts[r][0], w, starts[r][1], z))
 
 
@@ -561,12 +597,12 @@ def _lines_alternating(data, pts, w, k, z, restarts, seed):
 
     def fit(r):
         idx = rng_stream(seed, r).choice(n, size=(k, 2), replace=True)
-        lines, converged = _alternate(
+        lines, converged, sq = _alternate(
             pts, w, [_line_through(pts[a], pts[b], fallback) for a, b in idx],
             geometry._sq_dists_to_lines,
             lambda gp, gw, ln: _fit_line(gp, gw, ln.direction),
             lambda far, ln: Line.canonical(far, ln.direction))
-        return LineSet(lines), converged
+        return LineSet(lines), converged, sq
 
     return _best_of_restarts("lines", data, z, restarts, fit, "alternating-multirestart")
 

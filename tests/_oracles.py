@@ -16,11 +16,20 @@ The counterexample cost references :func:`ref_medoid_cost` and
 :func:`ref_css_cost` work row by row on the (n, d) points with BLAS
 products and a normalised copy of the rows: a summation order independent
 of the (d, n) kernels in ``counterexamples``.
+
+The Lloyd references :func:`ref_lloyd` and :func:`ref_lines_alternating`
+are the heuristic clustering and lines solves the straightforward way:
+seeding by a loop over all centers so far (:func:`ref_dz_seed`), a boolean
+mask and a :func:`ref_opt_center` or ``_fit_line`` call per group and
+round (:func:`ref_alternate`), and a ``cost_pow`` pass per restart.
 """
 
 import numpy as np
 
 from projclust import geometry
+from projclust._rng import rng_stream
+from projclust.geometry import CenterSet, Line, LineSet, WeightedSet
+from projclust.solvers import _default_dir, _fit_line, _line_through, opt_center
 
 
 def span_coordinates(y):
@@ -124,3 +133,104 @@ def ref_css_cost(points):
     scatter = x.T @ x
     captured = np.einsum("ij,jk,ik->i", u, scatter, u)
     return float(total - np.max(captured))
+
+
+def ref_dz_seed(pts, w, k, z, rng):
+    """Cost-proportional seeding, each draw from the distances to all centers so far."""
+    n = pts.shape[0]
+    first = int(rng.integers(n))
+    centers = [pts[first]]
+    for _ in range(k - 1):
+        dist = np.min(
+            np.stack([np.linalg.norm(pts - c, axis=1) for c in centers]), axis=0)
+        p = w * dist ** z
+        tot = p.sum()
+        if tot <= 0:
+            centers.append(pts[int(rng.integers(n))])
+            continue
+        centers.append(pts[int(rng.choice(n, p=p / tot))])
+    return np.vstack(centers)
+
+
+def ref_alternate(pts, w, shapes, sq_dists, refit, revive):
+    """Nearest-shape assignment and per-group refits, one mask per group."""
+    shapes = list(shapes)
+    prev = None
+    for _ in range(100):
+        sq = sq_dists(pts, shapes)
+        assign = np.argmin(sq, axis=1)
+        for b in range(len(shapes)):
+            if not np.any(assign == b):
+                far = int(np.argmax(np.sqrt(np.min(sq, axis=1))))
+                shapes[b] = revive(pts[far], shapes[b])
+                sq = sq_dists(pts, shapes)
+                assign = np.argmin(sq, axis=1)
+        if prev is not None and np.array_equal(assign, prev):
+            return shapes, True
+        prev = assign
+        for b in range(len(shapes)):
+            mask = assign == b
+            if np.any(mask):
+                shapes[b] = refit(pts[mask], w[mask], shapes[b])
+    return shapes, False
+
+
+def _ref_best_of_restarts(problem, data, z, restarts, fit):
+    best = (None, np.inf, False)
+    for r in range(restarts):
+        sol, converged = fit(r)
+        cp = geometry.cost_pow(problem, data, sol, z)
+        if cp < best[1]:
+            best = (sol, cp, converged)
+    return best
+
+
+def _points_and_weights(data):
+    pts = geometry._points_of(data)
+    return pts, data.weights if isinstance(data, WeightedSet) else np.ones(pts.shape[0])
+
+
+def ref_opt_center(pts, z, w):
+    """The refit of one group: a lone row is its own center, z = 2 takes
+    ``np.average``, other z the library's own iterative center."""
+    if pts.shape[0] == 1:
+        return pts[0].copy()
+    if z == 2.0:
+        return np.average(pts, axis=0, weights=w)
+    return opt_center(pts, z, w)
+
+
+def ref_lloyd(data, k, z, restarts, seed):
+    """(solution, cost_pow, converged) of the heuristic clustering solve."""
+    pts, w = _points_and_weights(data)
+    if k >= pts.shape[0]:
+        sol = CenterSet(pts)
+        return sol, geometry.cost_pow("clustering", data, sol, z), True
+
+    def fit(r):
+        centers, converged = ref_alternate(
+            pts, w, ref_dz_seed(pts, w, k, z, rng_stream(seed, r)),
+            lambda p, cs: geometry._sq_dists_to_centers(p, np.vstack(cs)),
+            lambda gp, gw, c: ref_opt_center(gp, z, gw),
+            lambda far, c: far)
+        return CenterSet(np.vstack(centers)), converged
+
+    return _ref_best_of_restarts("clustering", data, z, restarts, fit)
+
+
+def ref_lines_alternating(data, k, z, restarts, seed):
+    """(solution, cost_pow, converged) of the heuristic lines solve."""
+    pts, w = _points_and_weights(data)
+    n, d = pts.shape
+    fallback = _default_dir(d)
+
+    def fit(r):
+        idx = rng_stream(seed, r).choice(n, size=(k, 2), replace=True)
+        lines, converged = ref_alternate(
+            pts, w, [_line_through(pts[a], pts[b], fallback) for a, b in idx],
+            geometry._sq_dists_to_lines,
+            lambda gp, gw, ln: _fit_line(gp, gw, ln.direction),
+            lambda far, ln: Line.canonical(far, ln.direction))
+        return LineSet(lines), converged
+
+    return _ref_best_of_restarts("lines", data, z, restarts, fit)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,33 @@ def test_kernels_match_the_row_major_references(x):
     mass = float(np.sum(x * x))
     assert abs(medoid_cost(x) - ref_medoid_cost(x)) <= 1e-12 * mass
     assert abs(css_cost(x) - ref_css_cost(x)) <= 1e-12 * mass
+
+
+@st.composite
+def moderate_sets(draw):
+    """(n, d) sets with entries 0 or of magnitude 1e-3 to 1e3."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    return np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=moderate_sets(), e=st.integers(0, 532))
+def test_kernels_are_homogeneous_down_to_subnormal_squares(x, e):
+    # 2^-532 is about 1e-160: the squares of such entries are subnormal, so
+    # the kernels must rescale to keep cost(x 2^-e) = cost(x) 2^-2e exactly
+    tiny = np.ldexp(x, -e)
+    assert medoid_cost(tiny) == math.ldexp(medoid_cost(x), -2 * e)
+    assert css_cost(tiny) == math.ldexp(css_cost(x), -2 * e)
+
+
+@pytest.mark.parametrize("e", [0, 450, 500, 532, 600])
+def test_tiny_point_sets_keep_their_digits(e):
+    x = np.array([[1.0, 2.0], [2.0, 4.1], [0.3, -1.0]])
+    tiny = np.ldexp(x, -e)
+    assert medoid_cost(tiny) == math.ldexp(medoid_cost(x), -2 * e)
+    assert css_cost(tiny) == math.ldexp(css_cost(x), -2 * e)
+    assert medoid_cost(np.zeros((3, 2))) == css_cost(np.zeros((3, 2))) == 0.0
 
 
 def test_column_trick_matches_direct_projection():

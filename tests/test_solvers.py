@@ -17,6 +17,8 @@ from projclust.solvers import (
     _fit_line, _default_dir,
 )
 
+from _oracles import ref_dz_seed, ref_lines_alternating, ref_lloyd
+
 
 # ---------------------------------------------------------------------------
 # Independent small-scale oracles
@@ -257,22 +259,6 @@ def ref_grassmann_descent(pts, w, basis, z, max_iter=200, tol=1e-8):
     return b, val
 
 
-def ref_dz_seed(pts, w, k, z, rng):
-    n = pts.shape[0]
-    first = int(rng.integers(n))
-    centers = [pts[first]]
-    for _ in range(k - 1):
-        dist = np.min(
-            np.stack([np.linalg.norm(pts - c, axis=1) for c in centers]), axis=0)
-        p = w * dist ** z
-        tot = p.sum()
-        if tot <= 0:
-            centers.append(pts[int(rng.integers(n))])
-            continue
-        centers.append(pts[int(rng.choice(n, p=p / tot))])
-    return np.vstack(centers)
-
-
 @pytest.mark.parametrize("z", [1.3, 3.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_descent_center_matches_loop_reference(z, seed):
@@ -311,7 +297,7 @@ def test_descent_reports_running_out_of_steps():
     assert _grassmann_descent(pts, w, basis, 1.3)[2]
 
 
-@pytest.mark.parametrize("z", [1.3, 3.0])
+@pytest.mark.parametrize("z", [1.3, 2.0, 3.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dz_seed_matches_loop_reference(z, seed):
     rng = np.random.default_rng(seed)
@@ -319,7 +305,14 @@ def test_dz_seed_matches_loop_reference(z, seed):
     pts[:5] = pts[5]
     w = rng.uniform(0.1, 3.0, 60)
     same = np.tile(pts[:1], (7, 1))      # every draw falls to the tot <= 0 branch
-    for p, pw, k in ((pts, w, 1), (pts, w, 5), (pts, np.ones(60), 8), (same, np.ones(7), 4)):
+    # rows long enough for the row sums to be pairwise, and zero weights
+    wide = rng.normal(size=(50, 64 + 29 * seed)) * rng.uniform(0.1, 10.0, 50)[:, None]
+    wide_w = rng.uniform(0.0, 3.0, 50)
+    wide_w[::3] = 0.0
+    zero_w = w.copy()
+    zero_w[::2] = 0.0
+    for p, pw, k in ((pts, w, 1), (pts, w, 5), (pts, np.ones(60), 8), (same, np.ones(7), 4),
+                     (pts, zero_w, 6), (wide, wide_w, 7), (wide, np.ones(50), 5)):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         npt.assert_array_equal(_dz_seed(p, pw, k, z, got_rng),
                                ref_dz_seed(p, pw, k, z, want_rng))
@@ -428,6 +421,99 @@ def test_clustering_auto_goes_exact_at_z2_only():
     assert solve("clustering", x, 3, 1).method == "lloyd-multirestart"
     assert solve("clustering", x, 3, 1.3).method == "lloyd-multirestart"
     assert solve("clustering", x, 3, 2).method == "partition-enumeration"
+
+
+@st.composite
+def lloyd_instances(draw):
+    """(data, k, restarts, seed): rows drawn from a pool of distinct ones, so
+    that pools smaller than k leave groups empty, a few of them far out, so
+    that they end up alone in their groups, sometimes with weights, some of
+    them zero."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 5))
+    pool = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(pool, d)) * rng.uniform(0.1, 10.0)
+    rows[:draw(st.integers(0, 3))] *= 100.0
+    pts = rows[rng.integers(pool, size=n)]
+    weighting = draw(st.sampled_from(["none", "positive", "zeros"]))
+    if weighting == "none":
+        data = Dataset(pts)
+    else:
+        w = rng.uniform(0.1, 3.0, n)
+        if weighting == "zeros":
+            w[rng.random(n) < 0.4] = 0.0
+            w[rng.integers(n)] = 1.0
+        data = WeightedSet(pts, w)
+    return data, draw(st.integers(1, 6)), draw(st.integers(1, 6)), seed
+
+
+def _heuristic_or_refusal(solve_fn, *args):
+    """The solve's outcome, or the type of its ZeroDivisionError: a group whose
+    weights are all zero has no weighted mean."""
+    try:
+        return solve_fn(*args)
+    except ZeroDivisionError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("z", [1.0, 1.5, 2.0, 3.0])
+@settings(max_examples=50, deadline=None)
+@given(case=lloyd_instances())
+def test_lloyd_matches_per_group_reference(z, case):
+    data, k, restarts, seed = case
+    got = _heuristic_or_refusal(
+        lambda: solve("clustering", data, k, z, restarts=restarts, seed=seed, method="heuristic"))
+    want = _heuristic_or_refusal(lambda: ref_lloyd(data, k, z, restarts, seed))
+    if isinstance(want, type):
+        assert got is want
+        return
+    sol, cp, converged = want
+    npt.assert_array_equal(got.solution.centers, sol.centers)
+    assert got.cost_pow == cp
+    assert got.converged == converged
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=lloyd_instances())
+def test_lines_heuristic_matches_per_group_reference(case):
+    data, k, restarts, seed = case
+    got = _heuristic_or_refusal(
+        lambda: solve("lines", data, k, 2, restarts=restarts, seed=seed, method="heuristic"))
+    want = _heuristic_or_refusal(lambda: ref_lines_alternating(data, k, 2, restarts, seed))
+    if isinstance(want, type):
+        assert got is want
+        return
+    sol, cp, converged = want
+    for a, b in zip(got.solution.lines, sol.lines, strict=True):
+        npt.assert_array_equal(a.anchor, b.anchor)
+        npt.assert_array_equal(a.direction, b.direction)
+    assert got.cost_pow == cp
+    assert got.converged == converged
+
+
+def test_lloyd_lone_row_is_its_own_center():
+    # (100.3 * 1.3) / 1.3 != 100.3: a weighted mean of one row can miss it
+    pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [100.3, 100.7]])
+    data = WeightedSet(pts, [1.0, 2.0, 0.5, 1.3])
+    rep = solve("clustering", data, 2, 2, restarts=3, method="heuristic")
+    assert rep.converged
+    assert any(np.array_equal(c, pts[3]) for c in rep.solution.centers)
+
+
+def test_lloyd_memory_stays_near_one_copy_of_the_points():
+    # one (n, d) gather buffer per solve; restarts run one after another, so a
+    # block of restarts * k distances per point would show here
+    n, d = 2000, 100
+    x = np.random.default_rng(26).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        solve("clustering", x, 5, 2, restarts=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * d * 8
 
 
 # ---------------------------------------------------------------------------
