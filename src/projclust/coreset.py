@@ -49,10 +49,8 @@ class Coreset:
         return geometry.WeightedSet(pts[self.indices], self.weights)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("index,weight\n")
-            for i in range(self.m):
-                fh.write(f"{int(self.indices[i])},{float(self.weights[i])!r}\n")
+        geometry._write_csv(path, ["index", "weight"],
+                            zip(self.indices.tolist(), self.weights.tolist()))
 
     def __repr__(self):
         return f"Coreset(m={self.m})"
@@ -169,15 +167,15 @@ def _recurse_1d(order, p, a, b, k, out):
     gap_l = p[mid] - p[a]
     gap_r = p[b - 1] - p[mid]
     tol = _TIE_REL * max(gap_l, gap_r, 0.0)
+    # The set chosen for a range only grows with k, so the bigger-gap side
+    # needs no k - 1 pass of its own.
     if gap_l >= gap_r - tol:
         # bigger gap on the left: an interval bridging it swallows the rest
         # after dilation, so the right side only ever needs k - 1 intervals
         _recurse_1d(order, p, a, a + n // 2, k, out)
-        _recurse_1d(order, p, a, a + n // 2, k - 1, out)
         _recurse_1d(order, p, mid, b, k - 1, out)
     else:
         _recurse_1d(order, p, mid + 1, b, k, out)
-        _recurse_1d(order, p, mid + 1, b, k - 1, out)
         _recurse_1d(order, p, a, mid + 1, k - 1, out)
 
 
@@ -282,10 +280,8 @@ class PeelingPartition:
         self.layer_index.setflags(write=False)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("index,layer\n")
-            for i in range(self.n):
-                fh.write(f"{i},{int(self.layer_index[i])}\n")
+        geometry._write_csv(path, ["index", "layer"],
+                            enumerate(self.layer_index.tolist()))
 
     def __repr__(self):
         return f"PeelingPartition(n={self.n}, layers={len(self.layers)})"

@@ -438,6 +438,27 @@ def write_points(path, data, comments=()):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _fmt(v):
+    """A CSV or printed field: "" for None, the round-tripping ``repr`` of a
+    float (of a numpy float's value too), ``str`` of anything else."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_csv(path, header, rows):
+    """Write a header and rows of :func:`_fmt` fields, one line each."""
+    import csv      # here, so that ``import projclust`` does not load it
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
+
+
 def read_points(path):
     """Read an (n, d) float array written by :func:`write_points`."""
     rows = []

@@ -57,10 +57,9 @@ class SensitivityProfile:
 
     def to_csv(self, path):
         """Write (index, sigma, sigma_tilde) rows with full float precision."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("index,sigma,sigma_tilde\n")
-            for i in range(self.n):
-                fh.write(f"{i},{float(self.sigma[i])!r},{float(self.distribution[i])!r}\n")
+        geometry._write_csv(path, ["index", "sigma", "sigma_tilde"],
+                            zip(range(self.n), self.sigma.tolist(),
+                                self.distribution.tolist()))
 
     def __repr__(self):
         return f"SensitivityProfile(n={self.n}, total={self.total:.6g})"

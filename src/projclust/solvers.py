@@ -3,13 +3,15 @@
 :func:`solve` is the one public solver.  It checks the problem, ``method``,
 ``k``, ``z``, ``restarts`` and ``seed`` once, reads the points and weights of
 a Dataset, WeightedSet or raw array, and hands them to a private body that
-keeps only its own limits.  Clustering and lines get exact answers by
-partition enumeration at small n and local search otherwise; subspace and
-flat use their closed form at z = 2, iteratively reweighted least squares
-(:func:`_irls`) at 1 <= z < 2 and descent at z > 2.  Every search, IRLS
-and descent takes ``restarts`` starts, start r drawn from stream r of
-``seed``, through one restart loop.  Every solve returns a :class:`SolveReport`
-whose stated cost is re-evaluated through :func:`projclust.geometry.cost_pow`.
+keeps only its own limits.  Clustering and lines get exact answers from one
+partition enumerator (:func:`_enumerate`) at small n and local search
+otherwise.  Every fit follows the regime: a closed form at z = 2 (mean,
+SVD, least-squares line), iteratively reweighted least squares
+(:func:`_irls`) at 1 <= z < 2 for centers, subspaces and flats alike, and
+descent at z > 2.  Every search, IRLS and descent takes ``restarts`` starts,
+start r drawn from stream r of ``seed``, through one restart loop.  Every
+solve returns a :class:`SolveReport` whose stated cost is re-evaluated
+through :func:`projclust.geometry.cost_pow`.
 """
 
 import numpy as np
@@ -25,10 +27,10 @@ _POLISHED = 3
 # method="auto" enumerates partitions only at z = 2 and up to this n, for
 # both problems.  The line enumerator supports z = 2 alone.  The clustering
 # one needs a center solve per distinct block (up to 2^n of them), which for
-# z != 2 is an iterative one: at n = 12, k = 3 an exact solve took 2-3 s at
-# z = 1 and 0.4-0.5 s at z = 1.3 on a 2-core host, against 0.15 s and 0.06 s
-# for the heuristic at the same cost.  method="exact" still enumerates at any z,
-# up to EXACT_CLUSTERING_MAX_N.
+# z != 2 is an iterative one: at n = 12, k = 3 (three Gaussian sets in R^3)
+# an exact solve took 1.2-4.5 s at z = 1 and 0.2-0.9 s at z = 1.3 on a
+# 2-core host, against 0.04-0.08 s for the heuristic at the same cost.
+# method="exact" still enumerates at any z, up to EXACT_CLUSTERING_MAX_N.
 _AUTO_EXACT_MAX_N = 12
 # Round cap and relative-gain stop of _irls.  Where the best flat passes
 # through data points IRLS creeps towards it (the residuals there approach
@@ -107,7 +109,8 @@ def _descend(x, cost, grad, move, max_iter, tol):
 
 
 def _descent_center(pts, w, z, max_iter=500, tol=1e-8):
-    """Gradient descent with backtracking on the convex power-z center cost."""
+    """Gradient descent with backtracking on the convex power-z center cost
+    (the center rule at z > 2)."""
 
     def cost(c):
         return float(np.sum(w * np.linalg.norm(pts - c, axis=1) ** z))
@@ -136,13 +139,35 @@ def _center(pts, w, z):
         if total == 0.0:
             raise ZeroDivisionError("Weights sum to zero, can't be normalized")
         return np.multiply(pts, w[:, None]).sum(axis=0) / total
-    if z == 1.0:
-        if pts.shape[1] == 1:
-            return np.array([_weighted_median_1d(pts[:, 0], w)])
-        # Weiszfeld's iteration: IRLS for a 0-flat
-        return _irls(pts, w, 0, z, np.average(pts, axis=0, weights=w),
-                     np.empty((0, pts.shape[1])), True)[0]
-    return _descent_center(pts, w, z)
+    if z > 2.0:
+        return _descent_center(pts, w, z)
+    if z == 1.0 and pts.shape[1] == 1:
+        return np.array([_weighted_median_1d(pts[:, 0], w)])
+    # IRLS for a 0-flat; Weiszfeld's iteration at z = 1.  It stalls on a row
+    # (which weighs in at the floor) even where leaving pays, and where the
+    # cost is nearly flat (z near 1 on collinear rows).  So step from where
+    # it stops towards the weighted mean the rows off the center ask for,
+    # doubling the step while it gains (from 2^-30 of it on a row), and
+    # start again from there while that gains more than _IRLS_TOL.
+    empty = np.empty((0, pts.shape[1]))
+    start = np.average(pts, axis=0, weights=w)
+    for _ in range(pts.shape[0]):
+        c, _, val, _ = _irls(pts, w, 0, z, start, empty, True)
+        r = _residuals(pts - c, empty)
+        off = r > 1e-9 * max(float(np.max(r)), 1.0)
+        rw = w[off] * r[off] ** (z - 2.0)
+        if not rw.any():
+            break
+        step = (rw @ pts[off]) / rw.sum() - c
+        s, new = (1.0 if off.all() else 2.0 ** -30), val
+        for _ in range(70):
+            cv = _subspace_cost(pts - (c + s * step), w, empty, z)
+            if not cv < new:
+                break
+            new, start, s = cv, c + s * step, 2.0 * s
+        if not val - new > _IRLS_TOL * val:
+            break
+    return c
 
 
 def opt_center(pts, z, weights=None):
@@ -199,21 +224,47 @@ def _best_partition(n, k, block_cost):
     return best[1]
 
 
+def _enumerate(problem, data, pts, w, k, z, block_cost, fit):
+    """Report on the optimal clustering or lines solution over partitions.
+
+    Refuses n above the problem's cap.  A block of up to ``free`` points
+    (1 for clustering, 2 for lines) costs 0, so when k such blocks cover
+    the points they are the answer; otherwise :func:`_best_partition` picks
+    the blocks by ``block_cost``.  ``fit(indices)`` gives the shape of a
+    chosen block; lines repeat the last one up to k.
+    """
+    n = pts.shape[0]
+    cap, free, name = {"clustering": (EXACT_CLUSTERING_MAX_N, 1, "clustering"),
+                       "lines": (EXACT_LINES_MAX_N, 2, "line solving")}[problem]
+    if n > cap:
+        raise ValueError(f"exact {name} is limited to n <= {cap}, got n = {n}")
+    if free * k >= n:
+        blocks = [list(range(i, min(i + free, n))) for i in range(0, n, free)]
+    else:
+        blocks = _best_partition(n, k, block_cost)
+    shapes = [fit(idx) for idx in blocks]
+    sol = (CenterSet(np.vstack(shapes)) if problem == "clustering"
+           else LineSet(shapes + [shapes[-1]] * (k - len(shapes))))
+    return _report(problem, data, sol, z, "partition-enumeration", 0, True)
+
+
 def _alternate(pts, w, shapes, sq_dists, refit, revive):
     """Alternate nearest-shape assignment with per-group refits.
 
     ``sq_dists(pts, shapes)`` is the (n, k) squared-distance matrix; ties go
     to the lowest index.  A shape whose group is empty is replaced by
     ``revive(point, shape)`` at the worst-served point; a non-empty group
-    gets ``refit(group_pts, group_w, shape)``.  Each round sorts the rows by
-    group once, stably, so every refit sees its rows in their original
-    order, as a contiguous slice of one reused buffer (which ``refit``
-    must not keep).  Stops when an
-    assignment repeats, or after 100 rounds.  Returns (shapes, converged,
-    sq), ``sq`` the matrix of the returned shapes when converged, else None.
+    gets ``refit(group_pts, group_w, shape)``, unless its rows all weigh 0:
+    they cost 0 whatever the shape, which it keeps.  Each round sorts the
+    rows by group once, stably, so every refit sees its rows in their
+    original order, as a contiguous slice of one reused buffer (which
+    ``refit`` must not keep).  Stops when an assignment repeats, or after
+    100 rounds.  Returns (shapes, converged, sq), ``sq`` the matrix of the
+    returned shapes when converged, else None.
     """
     shapes = list(shapes)
     k = len(shapes)
+    positive = bool(np.all(w > 0))
     gp, gw = np.empty_like(pts), np.empty_like(w)
     prev = None
     for _ in range(100):
@@ -238,7 +289,7 @@ def _alternate(pts, w, shapes, sq_dists, refit, revive):
         end = 0
         for b in range(k):
             start, end = end, end + sizes[b]
-            if end > start:
+            if end > start and (positive or gw[start:end].any()):
                 shapes[b] = refit(gp[start:end], gw[start:end], shapes[b])
     return shapes, False, None
 
@@ -270,33 +321,20 @@ def _best_of_restarts(problem, data, z, restarts, fit, method, rank=None):
 
 
 def _clustering_exact(data, pts, w, k, z):
-    """Optimal power-z clustering by canonical partition enumeration.
-
-    Branch-and-bound over set partitions into at most k blocks; partial
-    costs only grow as points join blocks, so subtrees above the incumbent
-    are pruned.  Refuses n > EXACT_CLUSTERING_MAX_N.
-    """
-    n = pts.shape[0]
-    if n > EXACT_CLUSTERING_MAX_N:
-        raise ValueError(
-            f"exact clustering is limited to n <= {EXACT_CLUSTERING_MAX_N}, got n = {n}")
-    if k >= n:
-        sol = CenterSet(pts)
-        return _report("clustering", data, sol, z, "partition-enumeration", 0, True)
+    """Optimal power-z clustering: :func:`_enumerate` with one
+    :func:`_center` per block."""
 
     def block_cost(idx):
         bw = w[idx]
         bp = pts[idx]
         if z != 2.0:
-            c = opt_center(bp, z, bw)
+            c = _center(bp, bw, z)
             return float(np.sum(bw * np.linalg.norm(bp - c, axis=1) ** z))
         s = bw @ bp
         return max(float(bw @ np.sum(bp * bp, axis=1) - (s @ s) / bw.sum()), 0.0)
 
-    blocks = _best_partition(n, k, block_cost)
-    centers = np.vstack([opt_center(pts[idx], z, w[idx]) for idx in blocks])
-    sol = CenterSet(centers)
-    return _report("clustering", data, sol, z, "partition-enumeration", 0, True)
+    return _enumerate("clustering", data, pts, w, k, z, block_cost,
+                      lambda idx: _center(pts[idx], w[idx], z))
 
 
 def _dz_seed(pts, w, k, z, rng):
@@ -507,7 +545,7 @@ def _flat(data, pts, w, k, z, restarts, seed):
             basis = _grassmann_descent(pts - point, w, basis, z, max_iter=60)[0]
             # columns k..d-1 of the full Q factor span the orthogonal complement
             comp = np.linalg.qr(basis.T, mode="complete")[0][:, k:].T
-            point = opt_center(pts @ comp.T, z, w) @ comp
+            point = _center(pts @ comp.T, w, z) @ comp
             new_val = _subspace_cost(pts - point, w, basis, z)
             converged = val - new_val < 1e-8 * max(new_val, 1e-300)
             val = new_val
@@ -552,18 +590,11 @@ def _line_through(p, q, fallback_dir):
 
 
 def _lines_exact(data, pts, w, k, z):
-    """Optimal k-line solution for z = 2 by partition enumeration.
-
-    Each block of a partition gets its exact least-squares line, so the best
-    partition yields the optimum.  Restricted to z = 2 (other powers have no
-    closed-form per-block fit) and n <= EXACT_LINES_MAX_N.
-    """
-    n, d = pts.shape
+    """Optimal k lines for z = 2: :func:`_enumerate` with the exact
+    least-squares line per block (other powers have no closed-form fit)."""
     if z != 2.0:
         raise ValueError("exact line solving is available for z = 2 only")
-    if n > EXACT_LINES_MAX_N:
-        raise ValueError(f"exact line solving is limited to n <= {EXACT_LINES_MAX_N}, got n = {n}")
-    fallback = _default_dir(d)
+    fallback = _default_dir(pts.shape[1])
 
     def block_cost(idx):
         if len(idx) <= 2:
@@ -573,16 +604,12 @@ def _lines_exact(data, pts, w, k, z):
         res = bp - geometry.project_line(bp, _fit_line(bp, bw, fallback))
         return float(np.sum(bw * np.sum(res * res, axis=1)))
 
-    if 2 * k >= n:
-        # pair the points up: every partition into <= k blocks of <= 2 is free
-        blocks = [list(range(i, min(i + 2, n))) for i in range(0, n, 2)]
-    else:
-        blocks = _best_partition(n, k, block_cost)
-    lines = [_fit_line(pts[idx], w[idx], fallback) if len(idx) > 2
-             else _line_through(pts[idx[0]], pts[idx[-1]], fallback)
-             for idx in blocks]
-    sol = LineSet(lines + [lines[-1]] * (k - len(lines)))
-    return _report("lines", data, sol, z, "partition-enumeration", 0, True)
+    def fit(idx):
+        if len(idx) > 2:
+            return _fit_line(pts[idx], w[idx], fallback)
+        return _line_through(pts[idx[0]], pts[idx[-1]], fallback)
+
+    return _enumerate("lines", data, pts, w, k, z, block_cost, fit)
 
 
 def _lines_alternating(data, pts, w, k, z, restarts, seed):

@@ -22,14 +22,26 @@ are the heuristic clustering and lines solves the straightforward way:
 seeding by a loop over all centers so far (:func:`ref_dz_seed`), a boolean
 mask and a :func:`ref_opt_center` or ``_fit_line`` call per group and
 round (:func:`ref_alternate`), and a ``cost_pow`` pass per restart.
+
+The exact references :func:`ref_clustering_exact` and
+:func:`ref_lines_exact` are the two partition enumerators as separate
+bodies, each with its own cap, shortcut and fit pass, calling the checked
+``opt_center``.
+
+:func:`ref_recurse_1d` is the 1-d coreset recursion that also takes a
+k - 1 pass over the bigger-gap side.
 """
 
 import numpy as np
 
 from projclust import geometry
 from projclust._rng import rng_stream
+from projclust.coreset import _TIE_REL
 from projclust.geometry import CenterSet, Line, LineSet, WeightedSet
-from projclust.solvers import _default_dir, _fit_line, _line_through, opt_center
+from projclust.solvers import (
+    EXACT_CLUSTERING_MAX_N, EXACT_LINES_MAX_N, SolveReport, _best_partition, _default_dir,
+    _fit_line, _line_through, opt_center,
+)
 
 
 def span_coordinates(y):
@@ -170,7 +182,7 @@ def ref_alternate(pts, w, shapes, sq_dists, refit, revive):
         prev = assign
         for b in range(len(shapes)):
             mask = assign == b
-            if np.any(mask):
+            if np.any(w[mask] > 0):     # a group of zero weight keeps its shape
                 shapes[b] = refit(pts[mask], w[mask], shapes[b])
     return shapes, False
 
@@ -234,3 +246,93 @@ def ref_lines_alternating(data, k, z, restarts, seed):
         return LineSet(lines), converged
 
     return _ref_best_of_restarts("lines", data, z, restarts, fit)
+
+
+def _ref_report(problem, data, sol, z):
+    cp = geometry.cost_pow(problem, data, sol, z)
+    return SolveReport(sol, cp ** (1.0 / z), cp, "partition-enumeration", 0, True)
+
+
+def ref_clustering_exact(data, k, z):
+    """The exact clustering solve: cap, k >= n shortcut, enumeration, one
+    ``opt_center`` per chosen block."""
+    pts, w = _points_and_weights(data)
+    n = pts.shape[0]
+    if n > EXACT_CLUSTERING_MAX_N:
+        raise ValueError(
+            f"exact clustering is limited to n <= {EXACT_CLUSTERING_MAX_N}, got n = {n}")
+    if k >= n:
+        return _ref_report("clustering", data, CenterSet(pts), z)
+
+    def block_cost(idx):
+        bw = w[idx]
+        bp = pts[idx]
+        if z != 2.0:
+            c = opt_center(bp, z, bw)
+            return float(np.sum(bw * np.linalg.norm(bp - c, axis=1) ** z))
+        s = bw @ bp
+        return max(float(bw @ np.sum(bp * bp, axis=1) - (s @ s) / bw.sum()), 0.0)
+
+    blocks = _best_partition(n, k, block_cost)
+    centers = np.vstack([opt_center(pts[idx], z, w[idx]) for idx in blocks])
+    return _ref_report("clustering", data, CenterSet(centers), z)
+
+
+def ref_lines_exact(data, k, z):
+    """The exact z = 2 lines solve: z and cap refusals, pairs when 2k >= n,
+    enumeration, a least-squares line per chosen block of three or more."""
+    pts, w = _points_and_weights(data)
+    n, d = pts.shape
+    if z != 2.0:
+        raise ValueError("exact line solving is available for z = 2 only")
+    if n > EXACT_LINES_MAX_N:
+        raise ValueError(f"exact line solving is limited to n <= {EXACT_LINES_MAX_N}, got n = {n}")
+    fallback = _default_dir(d)
+
+    def block_cost(idx):
+        if len(idx) <= 2:
+            return 0.0
+        bp = pts[idx]
+        bw = w[idx]
+        res = bp - geometry.project_line(bp, _fit_line(bp, bw, fallback))
+        return float(np.sum(bw * np.sum(res * res, axis=1)))
+
+    if 2 * k >= n:
+        blocks = [list(range(i, min(i + 2, n))) for i in range(0, n, 2)]
+    else:
+        blocks = _best_partition(n, k, block_cost)
+    lines = [_fit_line(pts[idx], w[idx], fallback) if len(idx) > 2
+             else _line_through(pts[idx[0]], pts[idx[-1]], fallback)
+             for idx in blocks]
+    return _ref_report("lines", data, LineSet(lines + [lines[-1]] * (k - len(lines))), z)
+
+
+def ref_recurse_1d(order, p, a, b, k, out):
+    """The 1-d coreset recursion with a k and a k - 1 pass over the
+    bigger-gap side."""
+    n = b - a
+    if n <= 0:
+        return
+    if n <= 2:
+        for j in range(a, b):
+            out.add(int(order[j]))
+        return
+    if k == 1:
+        out.add(int(order[a]))
+        out.add(int(order[b - 1]))
+        return
+    mid = a + (n + 1) // 2 - 1
+    out.add(int(order[a]))
+    out.add(int(order[mid]))
+    out.add(int(order[b - 1]))
+    gap_l = p[mid] - p[a]
+    gap_r = p[b - 1] - p[mid]
+    tol = _TIE_REL * max(gap_l, gap_r, 0.0)
+    if gap_l >= gap_r - tol:
+        ref_recurse_1d(order, p, a, a + n // 2, k, out)
+        ref_recurse_1d(order, p, a, a + n // 2, k - 1, out)
+        ref_recurse_1d(order, p, mid, b, k - 1, out)
+    else:
+        ref_recurse_1d(order, p, mid + 1, b, k, out)
+        ref_recurse_1d(order, p, mid + 1, b, k - 1, out)
+        ref_recurse_1d(order, p, a, mid + 1, k - 1, out)

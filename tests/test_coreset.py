@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from projclust import geometry
+from projclust import coreset, geometry
 from projclust.geometry import Dataset, CenterSet, Line, LineSet, project_line, cost_pow
 from projclust.sensitivity import SensitivityProfile, clustering_sensitivity
 from projclust.coreset import (
@@ -11,6 +14,8 @@ from projclust.coreset import (
     PeelingPartition, peel_partition,
     _canonical_order, _coreset_1d,
 )
+
+from _oracles import ref_recurse_1d
 
 
 def dilate(a, b, factor=3.0):
@@ -391,3 +396,41 @@ def test_klines_commutes_with_linear_map():
         before = line_coreset_klines(pts, LineSet(lines), labels)
         after = line_coreset_klines(pts @ pi.T, LineSet(proj_lines), labels)
         npt.assert_array_equal(before, after)
+
+
+@st.composite
+def positions_and_k(draw):
+    """1-d positions, Gaussian, Cauchy (heavy-tailed) or on a few integers
+    (ties), and a k from 1 to 5."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["normal", "cauchy", "ties"]))
+    pos = {"normal": lambda: rng.normal(0, 3, n),
+           "cauchy": lambda: rng.standard_cauchy(n),
+           "ties": lambda: rng.integers(-4, 5, n).astype(np.float64)}[kind]()
+    return pos, draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=positions_and_k())
+def test_recursion_matches_two_pass_reference(case):
+    # the set chosen for a range only grows with k, so the bigger-gap side's
+    # k - 1 pass adds nothing
+    pos, k = case
+    order, p = _canonical_order(pos)
+    want = set()
+    ref_recurse_1d(order, p, 0, order.shape[0], k, want)
+    npt.assert_array_equal(_coreset_1d(pos, k), sorted(want))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3), tied=st.booleans())
+def test_peel_layers_match_two_pass_reference(seed, k, tied):
+    rng = np.random.default_rng(seed)
+    pts, lines, labels = points_on_lines(rng, k, int(rng.integers(1, 200)), tied=tied)
+    got = peel_partition(pts, LineSet(lines), labels)
+    with mock.patch.object(coreset, "_recurse_1d", ref_recurse_1d):
+        want = peel_partition(pts, LineSet(lines), labels)
+    assert len(got.layers) == len(want.layers)
+    for a, b in zip(got.layers, want.layers):
+        npt.assert_array_equal(a, b)

@@ -7,7 +7,7 @@ from projclust.geometry import (
     Dataset, WeightedSet, CenterSet, Subspace, Flat, Line, LineSet,
     project_subspace, project_flat, project_line,
     distances, assignment, cost_pow, cost,
-    read_dataset, write_points,
+    read_dataset, write_points, _write_csv,
 )
 
 
@@ -359,3 +359,11 @@ def test_dataset_read_errors(tmp_path):
     p.write_text("# only comments\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_dataset(p)
+
+
+def test_csv_fields_are_plain_reprs_of_numpy_values(tmp_path):
+    # repr(np.float64(0.1)) is 'np.float64(0.1)' under numpy 2
+    path = tmp_path / "out.csv"
+    _write_csv(path, ["a", "b", "c", "d"],
+               [[np.float64(0.1), np.int64(3), None, "x,y"], [1e-300, 7, 2.5, "ok"]])
+    assert path.read_bytes() == b'a,b,c,d\n0.1,3,,"x,y"\n1e-300,7,2.5,ok\n'

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from projclust import geometry, solvers
@@ -17,7 +17,9 @@ from projclust.solvers import (
     _fit_line, _default_dir,
 )
 
-from _oracles import ref_dz_seed, ref_lines_alternating, ref_lloyd
+from _oracles import (
+    ref_clustering_exact, ref_dz_seed, ref_lines_alternating, ref_lines_exact, ref_lloyd,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +187,60 @@ def test_opt_center_z1_matches_weiszfeld(seed):
         def cost(c):
             return float(w @ np.linalg.norm(pts - c, axis=1))
         assert cost(opt_center(pts, 1, w)) <= cost(ref_weiszfeld(pts, w)) * (1 + 1e-9)
+
+
+@st.composite
+def center_instances(draw):
+    """(pts, w, z) with 1 <= z < 2: Gaussian or heavy-tailed rows, some of
+    them repeated, sometimes a row on the weighted mean (the start of both
+    iterations), weights with zeros but a positive total, d = 1 at z != 1."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    z = draw(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)))
+    if d == 1 and z == 1.0:
+        z = 1.5    # the weighted median, not an iteration, serves d = 1 at z = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.standard_t(2, (n, d)) if draw(st.booleans()) else rng.normal(size=(n, d))
+    pts *= 10.0 ** draw(st.integers(-3, 3))
+    reps = draw(st.integers(0, n - 1))
+    pts[:reps] = pts[rng.integers(reps, n, size=reps)]
+    w = rng.uniform(0.1, 3.0, n) if draw(st.booleans()) else np.ones(n)
+    if draw(st.booleans()):
+        w[rng.random(n) < 0.4] = 0.0
+        w[rng.integers(n)] = 1.0
+    if draw(st.booleans()):
+        pts[0] = np.average(pts[1:], axis=0, weights=w[1:]) if w[1:].sum() > 0 else pts[1]
+    return pts, w, z
+
+
+_ON_THE_MEAN = np.array([[0.0, 0.0], [0.64891002, 0.00373531], [-0.31328873, 0.0068035],
+                         [1.75697713, 1.20085402], [0.64891002, 0.00373531],
+                         [0.11792766, 1.58860979]])
+_ON_THE_MEAN[0] = _ON_THE_MEAN[1:].mean(axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=center_instances())
+# z = 1, a row on the start: IRLS weighs it at the floor and stays there
+@example(case=(_ON_THE_MEAN, np.ones(6), 1.0))
+# z just above 1, collinear rows: the cost is nearly flat and IRLS crawls
+@example(case=(np.array([[0.1257302210933933], [-0.1321048632913019],
+                         [0.6404226504432821], [0.10490011715303971]]),
+               np.ones(4), 1.0000870577667595))
+def test_center_below_2_never_costs_more_than_descent(case):
+    pts, w, z = case
+    got, ref = opt_center(pts, z, w), _descent_center(pts, w, z)
+    # Where all weighted rows lie within a few rounding errors of each other
+    # (duplicates beside a row on their mean), the optimum falls between
+    # representable centers: costs like 6e-24 against 0 are rounding noise,
+    # and two centers that close are one answer.
+    if np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(pts)):
+        return
+
+    def cost(c):
+        return float(np.sum(w * np.linalg.norm(pts - c, axis=1) ** z))
+
+    assert cost(got) <= cost(ref) * (1 + 1e-9)
 
 
 # Loop references for the shared descent and the incremental seeding: the
@@ -423,6 +479,72 @@ def test_clustering_auto_goes_exact_at_z2_only():
     assert solve("clustering", x, 3, 2).method == "partition-enumeration"
 
 
+def _outcome(solve_fn):
+    """The solve's report, or the type and message of its ValueError."""
+    try:
+        return solve_fn()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _same_lines(a, b):
+    for x, y in zip(a.lines, b.lines, strict=True):
+        npt.assert_array_equal(x.anchor, y.anchor)
+        npt.assert_array_equal(x.direction, y.direction)
+
+
+@st.composite
+def exact_instances(draw):
+    """(data, k): 1-8 points, some repeated, sometimes weighted, with k
+    from 1 to past n / 2 and n."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.normal(size=(n, d))
+    reps = draw(st.integers(0, n - 1))
+    pts[:reps] = pts[rng.integers(reps, n, size=reps)]
+    if draw(st.booleans()):
+        data = WeightedSet(pts, rng.uniform(0.1, 3.0, n))
+    else:
+        data = Dataset(pts)
+    return data, draw(st.integers(1, n + 1))
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+@settings(max_examples=40, deadline=None)
+@given(case=exact_instances())
+def test_exact_clustering_matches_separate_enumerator(z, case):
+    data, k = case
+    got = solve("clustering", data, k, z, method="exact")
+    want = ref_clustering_exact(data, k, z)
+    npt.assert_array_equal(got.solution.centers, want.solution.centers)
+    assert (got.cost_pow, got.method, got.restarts, got.converged) == \
+        (want.cost_pow, want.method, want.restarts, want.converged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=exact_instances())
+def test_exact_lines_matches_separate_enumerator(case):
+    data, k = case
+    got = solve("lines", data, k, 2, method="exact")
+    want = ref_lines_exact(data, k, 2)
+    _same_lines(got.solution, want.solution)
+    assert (got.cost_pow, got.method, got.restarts, got.converged) == \
+        (want.cost_pow, want.method, want.restarts, want.converged)
+
+
+def test_exact_refusals_match_separate_enumerators():
+    rng = np.random.default_rng(11)
+    for problem, ref, n, z in (("clustering", ref_clustering_exact, 15, 2.0),
+                               ("lines", ref_lines_exact, 13, 2.0),
+                               ("lines", ref_lines_exact, 13, 1.0),
+                               ("lines", ref_lines_exact, 4, 1.5)):
+        data = Dataset(rng.normal(size=(n, 2)))
+        got = _outcome(lambda: solve(problem, data, 2, z, method="exact"))
+        assert isinstance(got, tuple)
+        assert got == _outcome(lambda: ref(data, 2, z))
+
+
 @st.composite
 def lloyd_instances(draw):
     """(data, k, restarts, seed): rows drawn from a pool of distinct ones, so
@@ -449,27 +571,13 @@ def lloyd_instances(draw):
     return data, draw(st.integers(1, 6)), draw(st.integers(1, 6)), seed
 
 
-def _heuristic_or_refusal(solve_fn, *args):
-    """The solve's outcome, or the type of its ZeroDivisionError: a group whose
-    weights are all zero has no weighted mean."""
-    try:
-        return solve_fn(*args)
-    except ZeroDivisionError as e:
-        return type(e)
-
-
 @pytest.mark.parametrize("z", [1.0, 1.5, 2.0, 3.0])
 @settings(max_examples=50, deadline=None)
 @given(case=lloyd_instances())
 def test_lloyd_matches_per_group_reference(z, case):
     data, k, restarts, seed = case
-    got = _heuristic_or_refusal(
-        lambda: solve("clustering", data, k, z, restarts=restarts, seed=seed, method="heuristic"))
-    want = _heuristic_or_refusal(lambda: ref_lloyd(data, k, z, restarts, seed))
-    if isinstance(want, type):
-        assert got is want
-        return
-    sol, cp, converged = want
+    got = solve("clustering", data, k, z, restarts=restarts, seed=seed, method="heuristic")
+    sol, cp, converged = ref_lloyd(data, k, z, restarts, seed)
     npt.assert_array_equal(got.solution.centers, sol.centers)
     assert got.cost_pow == cp
     assert got.converged == converged
@@ -479,18 +587,30 @@ def test_lloyd_matches_per_group_reference(z, case):
 @given(case=lloyd_instances())
 def test_lines_heuristic_matches_per_group_reference(case):
     data, k, restarts, seed = case
-    got = _heuristic_or_refusal(
-        lambda: solve("lines", data, k, 2, restarts=restarts, seed=seed, method="heuristic"))
-    want = _heuristic_or_refusal(lambda: ref_lines_alternating(data, k, 2, restarts, seed))
-    if isinstance(want, type):
-        assert got is want
-        return
-    sol, cp, converged = want
-    for a, b in zip(got.solution.lines, sol.lines, strict=True):
-        npt.assert_array_equal(a.anchor, b.anchor)
-        npt.assert_array_equal(a.direction, b.direction)
+    got = solve("lines", data, k, 2, restarts=restarts, seed=seed, method="heuristic")
+    sol, cp, converged = ref_lines_alternating(data, k, 2, restarts, seed)
+    _same_lines(got.solution, sol)
     assert got.cost_pow == cp
     assert got.converged == converged
+
+
+@pytest.mark.parametrize("z", [1.5, 2.0])
+def test_zero_weight_groups_keep_their_shape(z):
+    # Rows of weight 0 get no seeding mass, but the first center is drawn
+    # uniformly and revival takes the farthest row whatever its weight, so a
+    # group can hold only such rows; it has no weighted mean or line.
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n, d = int(rng.integers(2, 31)), int(rng.integers(1, 6))
+        w = rng.uniform(0.1, 3.0, n)
+        w[rng.random(n) < 0.4] = 0.0
+        w[rng.integers(n)] = 1.0
+        data = WeightedSet(rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0), w)
+        k, restarts, seed = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(99))
+        problems = ("clustering", "lines") if z == 2.0 else ("clustering",)
+        for problem in problems:
+            rep = solve(problem, data, k, z, restarts=restarts, seed=seed, method="heuristic")
+            assert np.isfinite(rep.cost_pow)
 
 
 def test_lloyd_lone_row_is_its_own_center():
