@@ -93,6 +93,13 @@ def make_near_lines(n, d, k, noise, rng):
     return Dataset(pts + rng.normal(0.0, noise, (n, d)))
 
 
+# `gen --kind` names of the seeded synthetic instances
+_SYNTHETIC = {
+    "gaussian-mixture": make_gaussian_mixture,
+    "points-near-k-lines": make_near_lines,
+    "points-near-k-flat": make_near_flat,
+}
+
 _INSTANCE_FOR_PROBLEM = {
     "clustering": make_gaussian_mixture,
     "subspace": make_near_subspace,
@@ -124,13 +131,11 @@ def _write_solution(path, problem, solution):
         rows = np.vstack([solution.direction.basis, solution.translation])
         write_points(path, rows,
                      comments=["orthonormal basis rows, then the translation"])
-    elif problem == "lines":
+    else:
         rows = np.vstack([np.stack([ln.anchor, ln.direction])
                           for ln in solution.lines])
         write_points(path, rows,
                      comments=["rows alternate line anchor, line direction"])
-    else:
-        raise ValueError(f"unknown problem: {problem!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +143,13 @@ def _write_solution(path, problem, solution):
 
 
 def cmd_gen(args):
-    rng = rng_stream(args.seed)
     kind = args.kind
-    if kind == "medoid":
+    if kind in _SYNTHETIC:
+        data = _SYNTHETIC[kind](args.n, args.d, args.k, args.noise, rng_stream(args.seed))
+    elif kind == "medoid":
         data = counterexamples.gen_medoid_instance(args.n)
-    elif kind == "css":
-        data = counterexamples.gen_css_instance(args.n)
-    elif kind == "gaussian-mixture":
-        data = make_gaussian_mixture(args.n, args.d, args.k, args.noise, rng)
-    elif kind == "points-near-k-lines":
-        data = make_near_lines(args.n, args.d, args.k, args.noise, rng)
-    elif kind == "points-near-k-flat":
-        data = make_near_flat(args.n, args.d, args.k, args.noise, rng)
     else:
-        raise ValueError(f"unknown kind: {kind!r}")
+        data = counterexamples.gen_css_instance(args.n)
     write_points(args.out, data, comments=[f"kind={kind} seed={args.seed}"])
     print(f"wrote {data.n} x {data.d} points to {args.out}")
     return 0
@@ -430,8 +428,7 @@ def build_parser():
 
     g = sub.add_parser("gen", help="generate a synthetic point set")
     g.add_argument("--kind", required=True,
-                   choices=["gaussian-mixture", "points-near-k-lines",
-                            "points-near-k-flat", "medoid", "css"])
+                   choices=[*_SYNTHETIC, "medoid", "css"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, default=2)
     g.add_argument("--k", type=int, default=3)

@@ -96,7 +96,7 @@ def clustering_sensitivity(data, centers, z):
     pts = geometry._checked_points("clustering", data, centers)
     sq = geometry._sq_dists_to_centers(pts, centers.centers)
     assign = np.argmin(sq, axis=1)
-    dist = np.sqrt(np.min(sq, axis=1))
+    dist = geometry._nearest(sq)
     sizes = np.bincount(assign, minlength=centers.k)
     return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) / sizes[assign])
 
@@ -252,7 +252,7 @@ def line_sensitivity(data, lines, z):
     sq = geometry._sq_dists_to_lines(pts, lines.lines)
     labels = np.argmin(sq, axis=1)
     peel = peel_partition(geometry._project_to_lines(pts, lines.lines, labels), lines, labels)
-    dist = np.sqrt(np.min(sq, axis=1))
+    dist = geometry._nearest(sq)
     return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * PEEL_CONSTANT / peel.layer_index)
 
 

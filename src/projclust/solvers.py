@@ -7,11 +7,11 @@ keeps only its own limits.  Clustering and lines get exact answers from one
 partition enumerator (:func:`_enumerate`) at small n and local search
 otherwise.  Every fit follows the regime: a closed form at z = 2 (mean,
 SVD, least-squares line), iteratively reweighted least squares
-(:func:`_irls`) at 1 <= z < 2 for centers, subspaces and flats alike, and
-descent at z > 2.  Every search, IRLS and descent takes ``restarts`` starts,
-start r drawn from stream r of ``seed``, through one restart loop.  Every
-solve returns a :class:`SolveReport` whose stated cost is re-evaluated
-through :func:`projclust.geometry.cost_pow`.
+(:func:`_irls`) at 1 <= z < 2 and backtracking descent (:func:`_descent`)
+at z > 2, for centers, subspaces and flats alike.  Every search takes
+``restarts`` starts, start r drawn from stream r of ``seed``, through one
+restart loop.  Every solve returns a :class:`SolveReport` whose stated cost
+is re-evaluated through :func:`projclust.geometry.cost_pow`.
 """
 
 import numpy as np
@@ -38,6 +38,11 @@ _AUTO_EXACT_MAX_N = 12
 # (60 x 6, k = 2) ended up to 2.3% above the descent IRLS replaced.
 _IRLS_ROUNDS = 5000
 _IRLS_TOL = 1e-14
+# Step cap and relative-gain stop of _descent.  At the 1e-8 stop of the
+# descents it replaced, 40 weighted centers (n 20-299, d 2-14) at z = 4 ended
+# up to 1.0e-6 above theirs; at 1e-10, at most 2.4e-9.
+_DESCENT_STEPS = 500
+_DESCENT_TOL = 1e-10
 
 
 class SolveReport:
@@ -76,58 +81,6 @@ def _weighted_median_1d(x, w):
     return float(x[order[min(i, len(x) - 1)]])
 
 
-def _descend(x, cost, grad, move, max_iter, tol):
-    """Backtracking gradient descent from ``x``; returns (x, cost(x), converged).
-
-    ``move(x, g, gnorm, step)`` is the candidate one step of size ``step``
-    against the gradient ``g`` (of norm ``gnorm``) reaches.  A candidate that
-    does not lower the cost halves the step, up to 40 times; an accepted one
-    grows it by 1.5.  Stops at a zero gradient, when no step helps, or when
-    the relative gain falls below ``tol``; ``converged`` is False only when
-    ``max_iter`` steps ran out first.
-    """
-    val = cost(x)
-    step = 1.0
-    for _ in range(max_iter):
-        g = grad(x)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            return x, val, True
-        for _ in range(40):
-            cand = move(x, g, gnorm, step)
-            cval = cost(cand)
-            if cval < val:
-                break
-            step *= 0.5
-        else:               # no step lowered the cost
-            return x, val, True
-        x, old, val = cand, val, cval
-        step *= 1.5
-        if old - val < tol * max(val, 1e-300):
-            return x, val, True
-    return x, val, False
-
-
-def _descent_center(pts, w, z, max_iter=500, tol=1e-8):
-    """Gradient descent with backtracking on the convex power-z center cost
-    (the center rule at z > 2)."""
-
-    def cost(c):
-        return float(np.sum(w * np.linalg.norm(pts - c, axis=1) ** z))
-
-    def grad(c):
-        diff = c - pts
-        dist = np.linalg.norm(diff, axis=1)
-        away = dist > 0
-        # a point on the center gets coefficient 0; its 1.0 keeps z < 2 from dividing by 0
-        coef = np.where(away, z * np.where(away, dist, 1.0) ** (z - 2.0), 0.0) * w
-        return (coef[:, None] * diff).sum(axis=0)
-
-    return _descend(np.average(pts, axis=0, weights=w), cost, grad,
-                    lambda c, g, gnorm, step: c - step * g / max(gnorm, 1.0),
-                    max_iter, tol)[0]
-
-
 def _center(pts, w, z):
     """:func:`opt_center` on checked (n, d) points, (n,) weights and z."""
     if pts.shape[0] == 1:
@@ -139,8 +92,9 @@ def _center(pts, w, z):
         if total == 0.0:
             raise ZeroDivisionError("Weights sum to zero, can't be normalized")
         return np.multiply(pts, w[:, None]).sum(axis=0) / total
+    empty = np.empty((0, pts.shape[1]))
     if z > 2.0:
-        return _descent_center(pts, w, z)
+        return _descent(pts, w, 0, z, np.average(pts, axis=0, weights=w), empty, True)[0]
     if z == 1.0 and pts.shape[1] == 1:
         return np.array([_weighted_median_1d(pts[:, 0], w)])
     # IRLS for a 0-flat; Weiszfeld's iteration at z = 1.  It stalls on a row
@@ -149,7 +103,6 @@ def _center(pts, w, z):
     # it stops towards the weighted mean the rows off the center ask for,
     # doubling the step while it gains (from 2^-30 of it on a row), and
     # start again from there while that gains more than _IRLS_TOL.
-    empty = np.empty((0, pts.shape[1]))
     start = np.average(pts, axis=0, weights=w)
     for _ in range(pts.shape[0]):
         c, _, val, _ = _irls(pts, w, 0, z, start, empty, True)
@@ -448,114 +401,100 @@ def _irls(pts, w, k, z, anchor, basis, affine):
     return anchor, basis, val, False
 
 
-def _grassmann_descent(pts, w, basis, z, max_iter=200, tol=1e-8):
-    """Projected gradient descent over orthonormal k-frames."""
-    scale = float(np.max(np.linalg.norm(pts, axis=1)))
-    floor = 1e-12 * max(scale, 1.0)
+def _descent(pts, w, k, z, anchor, basis, affine):
+    """Backtracking gradient descent for the power-z cost, the fit at z > 2.
 
-    def grad(b):
-        coef = w * np.maximum(_residuals(pts, b), floor) ** (z - 2.0)
-        return -z * (b @ (pts.T * coef) @ pts)
+    Takes and returns what :func:`_irls` does.  The k-frame steps against its
+    gradient and is retracted onto orthonormal rows by QR.  For a flat the
+    anchor steps with it, in the unit s = sqrt(sum c_i |x_i - a|^2 / sum c_i)
+    of the gradient's coefficients c_i = w_i * max(r_i, floor)^(z - 2), with
+    _irls's floor: both blocks share one step size and no length is absolute.
+    At k = 0 the flat is a center.  A candidate that does not lower the cost
+    halves the step, up to 40 times; an accepted one grows it by 1.5.  Stops at
+    a zero gradient, when no step helps, or at a relative gain below
+    _DESCENT_TOL; ``converged`` is False only when _DESCENT_STEPS ran out first.
+    """
+    centered = pts - anchor
+    floor = 1e-12 * max(float(np.max(np.linalg.norm(centered, axis=1))), 1.0)
+    val = _subspace_cost(centered, w, basis, z)
+    step = 1.0
+    for _ in range(_DESCENT_STEPS):
+        res = centered - (centered @ basis.T) @ basis if k else centered
+        coef = w * np.maximum(np.sqrt(np.einsum("ij,ij->i", res, res)), floor) ** (z - 2.0)
+        g_basis = -z * (basis @ (centered.T * coef) @ centered)
+        if affine:
+            total = coef.sum()    # 0 only where the gradient is 0 too
+            spread = coef @ np.einsum("ij,ij->i", centered, centered)
+            unit = np.sqrt(spread / total) if total else 0.0
+            g_anchor = -z * unit * (coef @ res)     # s times the anchor's gradient
+        gnorm = float(np.linalg.norm(np.vstack([g_anchor, g_basis]) if affine else g_basis))
+        if gnorm == 0.0:
+            return anchor, basis, val, True
+        for _ in range(40):
+            a = anchor - step * unit * g_anchor / gnorm if affine else anchor
+            b = np.linalg.qr((basis - step * g_basis / gnorm).T)[0].T[:k] if k else basis
+            c = pts - a if affine else centered
+            cval = _subspace_cost(c, w, b, z)
+            if cval < val:
+                break
+            step *= 0.5
+        else:               # no step lowered the cost
+            return anchor, basis, val, True
+        anchor, basis, centered, old, val = a, b, c, val, cval
+        step *= 1.5
+        if old - val < _DESCENT_TOL * max(val, 1e-300):
+            return anchor, basis, val, True
+    return anchor, basis, val, False
 
-    def retract(b, g, gnorm, step):
-        q, _ = np.linalg.qr((b - step * g / gnorm).T)
-        return q.T[: b.shape[0]]
 
-    return _descend(basis.copy(), lambda b: _subspace_cost(pts, w, b, z), grad,
-                    retract, max_iter, tol)
+def _frame(problem, data, pts, w, k, z, restarts, seed):
+    """Best k-dimensional linear subspace, or affine flat for problem "flat".
 
-
-def _frame_search(problem, data, pts, w, k, z, restarts, seed, first, polish, method):
-    """Report on the best of ``restarts`` starts, each an (anchor, k-frame).
-
-    Start 0 is ``first``, the z = 2 solution.  Start r >= 1 draws from stream
-    r of ``seed`` the span of k points, or for a flat the flat through k + 1
-    anchored at the first; dependent points are padded with random
-    directions.  Every start is scored by its residual cost about its anchor
-    and the _POLISHED cheapest are fitted by ``polish(anchor, basis)``.
+    Exact at z = 2: the top weighted principal directions, about the
+    weighted centroid for a flat.  At other z, a heuristic with no optimality
+    guarantee over ``restarts`` starts, each an (anchor, k-frame).  Start 0 is
+    the z = 2 solution.  Start r >= 1 draws from stream r of ``seed`` the
+    span of k points, or for a flat the flat through k + 1 anchored at the
+    first; dependent points are padded with random directions.  Every start
+    is scored by its residual cost about its anchor and the _POLISHED
+    cheapest are polished, by :func:`_irls` at z < 2 and by :func:`_descent`
+    at z > 2, where IRLS's majoriser fails.  ``converged`` is that of the
+    winning polish.
     """
     n, d = pts.shape
-    extra = int(problem == "flat")
-    starts = [first]
+    affine = problem == "flat"
+    extra = int(affine)
+    if affine:
+        anchor = np.average(pts, axis=0, weights=w)
+        basis = _weighted_pca_basis(pts - anchor, w, k)
+    else:
+        anchor, basis = np.zeros(d), _weighted_pca_basis(pts, w, k)
+
+    def solution(a, b):
+        return Flat.from_point(Subspace(b), a) if affine else Subspace(b)
+
+    if z == 2.0:
+        return _report(problem, data, solution(anchor, basis), z,
+                       "centered-svd" if affine else "svd", 0, True)
+    starts = [(anchor, basis)]
     for r in range(1, restarts):
         rng = rng_stream(seed, r)
         idx = rng.choice(n, size=min(k + extra, n), replace=False)
-        anchor = pts[idx[0]] if extra else np.zeros(d)
-        basis = geometry._orthonormal_rows(pts[idx[extra:]] - anchor)
-        if basis.shape[0] < k:
-            basis = geometry._orthonormal_rows(
-                np.vstack([basis, rng.normal(size=(k - basis.shape[0], d))]))
-        starts.append((anchor, basis[:k]))
+        a = pts[idx[0]] if affine else np.zeros(d)
+        b = geometry._orthonormal_rows(pts[idx[extra:]] - a)
+        if b.shape[0] < k:
+            b = geometry._orthonormal_rows(np.vstack([b, rng.normal(size=(k - b.shape[0], d))]))
+        starts.append((a, b[:k]))
+    fit = _irls if z < 2.0 else _descent
+
+    def polish(r):
+        a, b, _, converged = fit(pts, w, k, z, *starts[r], affine)
+        return solution(a, b), converged, None
+
     return _best_of_restarts(
-        problem, data, z, restarts, lambda r: (*polish(*starts[r]), None), method,
+        problem, data, z, restarts, polish,
+        "span-search+irls" if z < 2.0 else "span-search+descent",
         rank=lambda r: _subspace_cost(pts - starts[r][0], w, starts[r][1], z))
-
-
-def _subspace(data, pts, w, k, z, restarts, seed):
-    """Best k-dimensional linear subspace.
-
-    Exact for z = 2 (top singular directions).  For other z, a
-    :func:`_frame_search` whose starts are polished by :func:`_irls` at
-    z < 2 and by gradient descent over orthonormal frames at z > 2, where
-    IRLS's majoriser fails; a heuristic with no optimality guarantee.
-    ``converged`` is that of the winning polish.
-    """
-    svd_basis = _weighted_pca_basis(pts, w, k)
-    if z == 2.0:
-        return _report("subspace", data, Subspace(svd_basis), z, "svd", 0, True)
-
-    def polish(anchor, basis):
-        if z < 2.0:
-            _, b, _, converged = _irls(pts, w, k, z, anchor, basis, False)
-        else:
-            b, _, converged = _grassmann_descent(pts, w, basis, z)
-        sol = Subspace(geometry._orthonormal_rows(b))
-        if sol.dim < k:   # guard against a rank drop during refinement
-            sol = Subspace(svd_basis)
-        return sol, converged
-
-    return _frame_search("subspace", data, pts, w, k, z, restarts, seed,
-                         (np.zeros(pts.shape[1]), svd_basis), polish,
-                         "span-search+irls" if z < 2.0 else "span-search+descent")
-
-
-def _flat(data, pts, w, k, z, restarts, seed):
-    """Best k-dimensional affine flat.
-
-    Exact for z = 2: the flat through the weighted centroid along the top
-    principal directions.  For other z, a :func:`_frame_search` whose starts
-    are polished by :func:`_irls` at z < 2.  At z > 2 they alternate an
-    optimal translation (a single-center problem in the orthogonal
-    complement) with direction descent; ``converged`` then says whether the
-    winning alternation met its relative tolerance within 10 rounds.
-    """
-    centroid = np.average(pts, axis=0, weights=w)
-    pca = _weighted_pca_basis(pts - centroid, w, k)
-    if z == 2.0:
-        return _report("flat", data, Flat.from_point(Subspace(pca), centroid), z,
-                       "centered-svd", 0, True)
-
-    def irls(point, basis):
-        point, basis, _, converged = _irls(pts, w, k, z, point, basis, True)
-        return Flat.from_point(Subspace(basis), point), converged
-
-    def alternate(point, basis):
-        val = np.inf
-        for _ in range(10):
-            basis = _grassmann_descent(pts - point, w, basis, z, max_iter=60)[0]
-            # columns k..d-1 of the full Q factor span the orthogonal complement
-            comp = np.linalg.qr(basis.T, mode="complete")[0][:, k:].T
-            point = _center(pts @ comp.T, w, z) @ comp
-            new_val = _subspace_cost(pts - point, w, basis, z)
-            converged = val - new_val < 1e-8 * max(new_val, 1e-300)
-            val = new_val
-            if converged:
-                break
-        return Flat.from_point(Subspace(geometry._orthonormal_rows(basis)), point), converged
-
-    polish, method = (irls, "span-search+irls") if z < 2.0 else (alternate, "alternating-descent")
-    return _frame_search("flat", data, pts, w, k, z, restarts, seed,
-                         (centroid, pca), polish, method)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +585,9 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
     n <= _AUTO_EXACT_MAX_N.  Subspace and flat use their closed form at z = 2,
     whatever the method; at other z, start 0 is that closed form, start r >= 1
     is sampled from stream r of ``seed``, all are scored and the _POLISHED
-    cheapest are polished, by IRLS at z < 2 and by descent at z > 2.  ``report.restarts`` is ``restarts`` for every search
-    and 0 for a closed form or an enumeration.
+    cheapest are polished, by IRLS at z < 2 and by descent at z > 2.
+    ``report.restarts`` is ``restarts`` for every search and 0 for a closed
+    form or an enumeration.
     """
     if problem not in geometry.PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}; expected one of {geometry.PROBLEMS}")
@@ -667,10 +607,8 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
     w = data.weights if isinstance(data, WeightedSet) else np.ones(pts.shape[0])
     if problem in ("subspace", "flat") and k >= pts.shape[1]:
         raise ValueError(f"need 1 <= k < d (a full-dimensional {problem} is trivial)")
-    if problem == "subspace":
-        return _subspace(data, pts, w, k, z, restarts, seed)
-    if problem == "flat":
-        return _flat(data, pts, w, k, z, restarts, seed)
+    if problem in ("subspace", "flat"):
+        return _frame(problem, data, pts, w, k, z, restarts, seed)
     exact = method == "exact" or (method == "auto" and z == 2.0
                                   and pts.shape[0] <= _AUTO_EXACT_MAX_N)
     if problem == "clustering":

@@ -30,6 +30,13 @@ bodies, each with its own cap, shortcut and fit pass, calling the checked
 
 :func:`ref_recurse_1d` is the 1-d coreset recursion that also takes a
 k - 1 pass over the bigger-gap side.
+
+The frame references :func:`ref_subspace` and :func:`ref_flat` are the
+subspace and flat solves as two bodies.  Above z = 2 they polish with the
+earlier descents: :func:`ref_grassmann_descent` over orthonormal frames
+(a subspace), and for a flat up to 10 rounds that alternate 60 such steps
+with a center in the orthogonal complement by :func:`ref_descent_center`,
+whose step is ``step * g / max(|g|, 1)`` in the data's own units.
 """
 
 import numpy as np
@@ -38,9 +45,11 @@ from projclust import geometry
 from projclust._rng import rng_stream
 from projclust.coreset import _TIE_REL
 from projclust.geometry import CenterSet, Line, LineSet, WeightedSet
+from projclust.geometry import Flat, Subspace
 from projclust.solvers import (
-    EXACT_CLUSTERING_MAX_N, EXACT_LINES_MAX_N, SolveReport, _best_partition, _default_dir,
-    _fit_line, _line_through, opt_center,
+    EXACT_CLUSTERING_MAX_N, EXACT_LINES_MAX_N, SolveReport, _best_of_restarts,
+    _best_partition, _center, _default_dir, _fit_line, _irls, _line_through, _report,
+    _subspace_cost, _weighted_pca_basis, opt_center,
 )
 
 
@@ -336,3 +345,151 @@ def ref_recurse_1d(order, p, a, b, k, out):
         ref_recurse_1d(order, p, mid + 1, b, k, out)
         ref_recurse_1d(order, p, mid + 1, b, k - 1, out)
         ref_recurse_1d(order, p, a, mid + 1, k - 1, out)
+
+
+def ref_descent_center(pts, w, z, max_iter=500, tol=1e-8):
+    """Backtracking descent on the power-z center cost from the weighted mean."""
+    c = np.average(pts, axis=0, weights=w)
+    step = 1.0
+
+    def cost(cc):
+        return float(np.sum(w * np.linalg.norm(pts - cc, axis=1) ** z))
+
+    val = cost(c)
+    for _ in range(max_iter):
+        diff = c - pts
+        dist = np.linalg.norm(diff, axis=1)
+        away = dist > 0
+        coef = np.where(away, z * np.where(away, dist, 1.0) ** (z - 2.0), 0.0) * w
+        grad = (coef[:, None] * diff).sum(axis=0)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0.0:
+            break
+        improved = False
+        for _ in range(40):
+            cand = c - step * grad / max(gnorm, 1.0)
+            cval = cost(cand)
+            if cval < val:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        c, old = cand, val
+        val = cval
+        step *= 1.5
+        if old - val < tol * max(val, 1e-300):
+            break
+    return c
+
+
+def ref_grassmann_descent(pts, w, basis, z, max_iter=200, tol=1e-8):
+    """Backtracking descent over orthonormal k-frames with a QR retraction;
+    returns (basis, cost, converged)."""
+    b = basis.copy()
+    val = _subspace_cost(pts, w, b, z)
+    step = 1.0
+    scale = float(np.max(np.linalg.norm(pts, axis=1)))
+    floor = 1e-12 * max(scale, 1.0)
+    for _ in range(max_iter):
+        res = pts - (pts @ b.T) @ b
+        r = np.sqrt(np.einsum("ij,ij->i", res, res))
+        coef = w * np.maximum(r, floor) ** (z - 2.0)
+        grad = -z * (b @ (pts.T * coef) @ pts)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0.0:
+            return b, val, True
+        improved = False
+        for _ in range(40):
+            q, _ = np.linalg.qr((b - step * grad / gnorm).T)
+            cand = q.T[: b.shape[0]]
+            cval = _subspace_cost(pts, w, cand, z)
+            if cval < val:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            return b, val, True
+        b, old = cand, val
+        val = cval
+        step *= 1.5
+        if old - val < tol * max(val, 1e-300):
+            return b, val, True
+    return b, val, False
+
+
+def _ref_frame_search(problem, data, pts, w, k, z, restarts, seed, first, polish, method):
+    n, d = pts.shape
+    extra = int(problem == "flat")
+    starts = [first]
+    for r in range(1, restarts):
+        rng = rng_stream(seed, r)
+        idx = rng.choice(n, size=min(k + extra, n), replace=False)
+        anchor = pts[idx[0]] if extra else np.zeros(d)
+        basis = geometry._orthonormal_rows(pts[idx[extra:]] - anchor)
+        if basis.shape[0] < k:
+            basis = geometry._orthonormal_rows(
+                np.vstack([basis, rng.normal(size=(k - basis.shape[0], d))]))
+        starts.append((anchor, basis[:k]))
+    return _best_of_restarts(
+        problem, data, z, restarts, lambda r: (*polish(*starts[r]), None), method,
+        rank=lambda r: _subspace_cost(pts - starts[r][0], w, starts[r][1], z))
+
+
+def ref_subspace(data, k, z, restarts, seed):
+    """The subspace solve: SVD at z = 2; else the starts polished by IRLS
+    (z < 2) or Grassmann descent (z > 2), re-orthonormalised by an SVD."""
+    pts, w = _points_and_weights(data)
+    svd_basis = _weighted_pca_basis(pts, w, k)
+    if z == 2.0:
+        return _report("subspace", data, Subspace(svd_basis), z, "svd", 0, True)
+
+    def polish(anchor, basis):
+        if z < 2.0:
+            _, b, _, converged = _irls(pts, w, k, z, anchor, basis, False)
+        else:
+            b, _, converged = ref_grassmann_descent(pts, w, basis, z)
+        sol = Subspace(geometry._orthonormal_rows(b))
+        if sol.dim < k:
+            sol = Subspace(svd_basis)
+        return sol, converged
+
+    return _ref_frame_search("subspace", data, pts, w, k, z, restarts, seed,
+                             (np.zeros(pts.shape[1]), svd_basis), polish,
+                             "span-search+irls" if z < 2.0 else "span-search+descent")
+
+
+def ref_flat(data, k, z, restarts, seed):
+    """The flat solve: centered SVD at z = 2; else the starts polished by
+    IRLS (z < 2) or the translation/direction alternation (z > 2)."""
+    pts, w = _points_and_weights(data)
+    centroid = np.average(pts, axis=0, weights=w)
+    pca = _weighted_pca_basis(pts - centroid, w, k)
+    if z == 2.0:
+        return _report("flat", data, Flat.from_point(Subspace(pca), centroid), z,
+                       "centered-svd", 0, True)
+
+    def irls(point, basis):
+        point, basis, _, converged = _irls(pts, w, k, z, point, basis, True)
+        return Flat.from_point(Subspace(basis), point), converged
+
+    def center(p):
+        return ref_descent_center(p, w, z) if p.shape[0] > 1 else _center(p, w, z)
+
+    def alternate(point, basis):
+        val = np.inf
+        for _ in range(10):
+            basis = ref_grassmann_descent(pts - point, w, basis, z, max_iter=60)[0]
+            # columns k..d-1 of the full Q factor span the orthogonal complement
+            comp = np.linalg.qr(basis.T, mode="complete")[0][:, k:].T
+            point = center(pts @ comp.T) @ comp
+            new_val = _subspace_cost(pts - point, w, basis, z)
+            converged = val - new_val < 1e-8 * max(new_val, 1e-300)
+            val = new_val
+            if converged:
+                break
+        return Flat.from_point(Subspace(geometry._orthonormal_rows(basis)), point), converged
+
+    polish, method = (irls, "span-search+irls") if z < 2.0 else (alternate, "alternating-descent")
+    return _ref_frame_search("flat", data, pts, w, k, z, restarts, seed,
+                             (centroid, pca), polish, method)

@@ -395,6 +395,20 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert "usage: projclust" in proc.stdout
 
 
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package and its CLI run on numpy
+    src = os.path.dirname(os.path.dirname(projclust.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys, projclust, projclust.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_parser_rejects_garbage():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
