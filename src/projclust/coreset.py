@@ -10,7 +10,7 @@ weighted proxy set with an unbiased cost estimate.
 import numpy as np
 
 from . import geometry
-from .geometry import LineSet, project_line
+from .geometry import Line, LineSet, project_line
 from ._rng import rng_stream
 
 # Inflating a covering interval (or cylinder radius) by this factor is what
@@ -87,16 +87,19 @@ def line_coreset_1d(y, k):
 
     For k = 1 the two extreme points suffice; in general the set has size
     O(log n)^k via a halving recursion that keeps, at every level, the two
-    extremes and the median point of the current range.
+    extremes and the median point of the current range.  The points must lie
+    on their fitted line as :func:`line_coreset_klines` requires.
     """
     pts = geometry._points_of(y)
     k = int(k)
     if k < 1:
         raise ValueError("k must be positive")
-    n = pts.shape[0]
-    if n <= 2:
-        return np.arange(n, dtype=np.int64)
-    return _coreset_1d(_collinear_positions(pts), k)
+    # the mean and the top right singular vector, e_0 if all points coincide
+    center, n = pts.mean(axis=0), pts.shape[0]
+    _, s, vt = np.linalg.svd(pts - center, full_matrices=False)
+    line = Line.canonical(center, vt[0] if s[0] > 0.0 else np.eye(1, pts.shape[1])[0])
+    groups = _line_groups(pts, LineSet([line]), np.zeros(n, dtype=np.int64))
+    return _klines(groups, np.ones(n, dtype=bool), k)
 
 
 def _coreset_1d(positions, k, sweeps=None):
@@ -106,22 +109,6 @@ def _coreset_1d(positions, k, sweeps=None):
     chosen = set()
     _recurse_1d(order, pos_sorted, 0, order.shape[0], k, chosen)
     return np.array(sorted(chosen), dtype=np.int64)
-
-
-def _collinear_positions(pts):
-    """1-d coordinates of collinear points; raises if they are not collinear."""
-    center = pts.mean(axis=0)
-    c = pts - center
-    _, s, vt = np.linalg.svd(c, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros(pts.shape[0])
-    direction = vt[0]
-    positions = c @ direction
-    residual = c - np.multiply.outer(positions, direction)
-    scale = float(np.max(np.abs(positions)))
-    if float(np.max(np.linalg.norm(residual, axis=1))) > _ONLINE_TOL * max(1.0, scale):
-        raise ValueError("points are not collinear")
-    return positions
 
 
 def _sweeps(positions):

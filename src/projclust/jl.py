@@ -79,28 +79,25 @@ def apply(pi, x):
 def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
     """Suggested projection dimension for a (problem, k, z, eps) regime.
 
-    The value is clamped to [1, d]; ``const`` rescales the lead constant.
+    The value is clamped to [1, d]; ``const`` rescales the lead constant.  A
+    k-flat is sized as the (k+1)-subspace of the points lifted by a constant.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if k < 1 or d < 1:
+        raise ValueError("k and d must be positive")
     geometry._check_z(z)
     if problem == "clustering":
         raw = (math.log(k) + z * math.log(1.0 / eps)) / eps ** 2
         formula = "(ln k + z ln(1/eps)) / eps^2"
-    elif problem == "subspace":
+    elif problem in ("subspace", "flat"):
+        r, name = (k + 1, "(k+1)") if problem == "flat" else (k, "k")
         if z == 2:
-            raw = k / eps ** 2
-            formula = "k / eps^2"
+            raw = r / eps ** 2
+            formula = f"{name} / eps^2"
         else:
-            raw = z * k ** 2 * (1.0 + math.log(k / eps)) ** 2 / eps ** 3
-            formula = "z k^2 (1 + ln(k/eps))^2 / eps^3"
-    elif problem == "flat":
-        if z == 2:
-            raw = (k + 1) / eps ** 2
-            formula = "(k+1) / eps^2"
-        else:
-            raw = z * (k + 1) ** 2 * (1.0 + math.log((k + 1) / eps)) ** 2 / eps ** 3
-            formula = "z (k+1)^2 (1 + ln((k+1)/eps))^2 / eps^3"
+            raw = z * r ** 2 * (1.0 + math.log(r / eps)) ** 2 / eps ** 3
+            formula = f"z {name}^2 (1 + ln({name}/eps))^2 / eps^3"
     elif problem == "lines":
         loglog = max(math.log(max(math.log(max(n, 2)), 1.0)), 0.0)
         raw = (k * loglog + z + math.log(1.0 / eps)) / eps ** 3

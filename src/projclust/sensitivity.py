@@ -14,16 +14,12 @@ is valid for comparing arbitrary candidate solutions of the same family.
 
 import numpy as np
 
-from . import geometry
-from .coreset import peel_partition
+from . import geometry, jl
+from .coreset import COVER_FACTOR, peel_partition
 from .geometry import (
     CenterSet, Subspace, Flat, LineSet,
     project_subspace, project_flat,
 )
-
-# Constant in the per-layer line-sensitivity term; matches the cover
-# inflation factor of the peeling coresets.
-PEEL_CONSTANT = 3.0
 
 
 class SensitivityProfile:
@@ -245,7 +241,7 @@ def line_sensitivity(data, lines, z):
 
         sigma(x) = 2^(z-1) * dist(x, L)^z / cost + 2^(2z-1) * c / i
 
-    with c = ``PEEL_CONSTANT``.
+    with c = ``coreset.COVER_FACTOR``, the peeling's cover inflation factor.
     """
     z = geometry._check_z(z)
     pts = geometry._checked_points("lines", data, lines)
@@ -253,7 +249,7 @@ def line_sensitivity(data, lines, z):
     labels = np.argmin(sq, axis=1)
     peel = peel_partition(geometry._project_to_lines(pts, lines.lines, labels), lines, labels)
     dist = geometry._nearest(sq)
-    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * PEEL_CONSTANT / peel.layer_index)
+    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * COVER_FACTOR / peel.layer_index)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +278,8 @@ def event_e4_statistic(data, solution, pi, z, profile):
     segment from the point to its reference on ``solution`` (D := 1 when the
     point lies on the solution).  Returns  sum_x D_x^(2z) * sigma(x).  For a
     map of target dimension ~ the usual preset this stays below
-    100 * (k + 1) * 2^z with large probability.
+    100 * (k + 1) * 2^z with large probability.  A map whose input dimension
+    is not the data's raises ValueError, as :func:`projclust.jl.apply` does.
     """
     z = geometry._check_z(z)
     pts = geometry._points_of(data)
@@ -290,7 +287,7 @@ def event_e4_statistic(data, solution, pi, z, profile):
         raise ValueError("profile length does not match the data")
     ref = _reference_points(pts, solution)
     dist = np.linalg.norm(pts - ref, axis=1)
-    pdist = np.linalg.norm((pts - ref) @ pi.matrix.T, axis=1)
+    pdist = np.linalg.norm(jl.apply(pi, pts - ref), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dist == 0.0, 1.0, pdist / np.where(dist == 0.0, 1.0, dist))
     return float(np.sum(ratio ** (2.0 * z) * profile.sigma))

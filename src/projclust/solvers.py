@@ -107,7 +107,7 @@ def _center(pts, w, z):
     for _ in range(pts.shape[0]):
         c, _, val, _ = _irls(pts, w, 0, z, start, empty, True)
         r = _residuals(pts - c, empty)
-        off = r > 1e-9 * max(float(np.max(r)), 1.0)
+        off = r > 1e-9 * float(np.max(r))
         rw = w[off] * r[off] ** (z - 2.0)
         if not rw.any():
             break
@@ -177,20 +177,28 @@ def _best_partition(n, k, block_cost):
     return best[1]
 
 
-def _enumerate(problem, data, pts, w, k, z, block_cost, fit):
+def _enumerate(problem, data, pts, w, k, z, fit):
     """Report on the optimal clustering or lines solution over partitions.
 
     Refuses n above the problem's cap.  A block of up to ``free`` points
     (1 for clustering, 2 for lines) costs 0, so when k such blocks cover
     the points they are the answer; otherwise :func:`_best_partition` picks
-    the blocks by ``block_cost``.  ``fit(indices)`` gives the shape of a
-    chosen block; lines repeat the last one up to k.
+    the blocks, each costing what its rows pay to ``fit(indices)``, its
+    center or line: sum w * |x - foot|^z.  Lines repeat the last one up to k.
     """
     n = pts.shape[0]
     cap, free, name = {"clustering": (EXACT_CLUSTERING_MAX_N, 1, "clustering"),
                        "lines": (EXACT_LINES_MAX_N, 2, "line solving")}[problem]
     if n > cap:
         raise ValueError(f"exact {name} is limited to n <= {cap}, got n = {n}")
+
+    def block_cost(idx):
+        if len(idx) <= free:
+            return 0.0
+        bp, shape = pts[idx], fit(idx)
+        foot = shape if problem == "clustering" else geometry.project_line(bp, shape)
+        return float(np.sum(w[idx] * np.linalg.norm(bp - foot, axis=1) ** z))
+
     if free * k >= n:
         blocks = [list(range(i, min(i + free, n))) for i in range(0, n, free)]
     else:
@@ -276,17 +284,7 @@ def _best_of_restarts(problem, data, z, restarts, fit, method, rank=None):
 def _clustering_exact(data, pts, w, k, z):
     """Optimal power-z clustering: :func:`_enumerate` with one
     :func:`_center` per block."""
-
-    def block_cost(idx):
-        bw = w[idx]
-        bp = pts[idx]
-        if z != 2.0:
-            c = _center(bp, bw, z)
-            return float(np.sum(bw * np.linalg.norm(bp - c, axis=1) ** z))
-        s = bw @ bp
-        return max(float(bw @ np.sum(bp * bp, axis=1) - (s @ s) / bw.sum()), 0.0)
-
-    return _enumerate("clustering", data, pts, w, k, z, block_cost,
+    return _enumerate("clustering", data, pts, w, k, z,
                       lambda idx: _center(pts[idx], w[idx], z))
 
 
@@ -373,13 +371,13 @@ def _irls(pts, w, k, z, anchor, basis, affine):
     residuals majorises the cost; minimising that majoriser is the z = 2
     problem with weights w_i * max(r_i, floor)^(z - 2), solved by a weighted
     centroid (for a flat) and a weighted PCA; the floor is 1e-12 of the
-    largest distance to the starting anchor, or 1e-12 if that is below 1.
+    largest distance to the starting anchor, or 1e-300 if that is 0.
     At k = 0 the round is Weiszfeld's and skips the PCA.  A round whose cost
     does not fall ends the loop, as does a relative gain below _IRLS_TOL;
     ``converged`` is False only when _IRLS_ROUNDS rounds ran out first.
     """
     centered = pts - anchor
-    floor = 1e-12 * max(float(np.max(np.linalg.norm(centered, axis=1))), 1.0)
+    floor = 1e-12 * float(np.max(np.linalg.norm(centered, axis=1))) or 1e-300
     r = _residuals(centered, basis)
     val = float(w @ r ** z)
     for _ in range(_IRLS_ROUNDS):
@@ -415,7 +413,7 @@ def _descent(pts, w, k, z, anchor, basis, affine):
     _DESCENT_TOL; ``converged`` is False only when _DESCENT_STEPS ran out first.
     """
     centered = pts - anchor
-    floor = 1e-12 * max(float(np.max(np.linalg.norm(centered, axis=1))), 1.0)
+    floor = 1e-12 * float(np.max(np.linalg.norm(centered, axis=1))) or 1e-300
     val = _subspace_cost(centered, w, basis, z)
     step = 1.0
     for _ in range(_DESCENT_STEPS):
@@ -535,20 +533,12 @@ def _lines_exact(data, pts, w, k, z):
         raise ValueError("exact line solving is available for z = 2 only")
     fallback = _default_dir(pts.shape[1])
 
-    def block_cost(idx):
-        if len(idx) <= 2:
-            return 0.0
-        bp = pts[idx]
-        bw = w[idx]
-        res = bp - geometry.project_line(bp, _fit_line(bp, bw, fallback))
-        return float(np.sum(bw * np.sum(res * res, axis=1)))
-
     def fit(idx):
         if len(idx) > 2:
             return _fit_line(pts[idx], w[idx], fallback)
         return _line_through(pts[idx[0]], pts[idx[-1]], fallback)
 
-    return _enumerate("lines", data, pts, w, k, z, block_cost, fit)
+    return _enumerate("lines", data, pts, w, k, z, fit)
 
 
 def _lines_alternating(data, pts, w, k, z, restarts, seed):

@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import projclust
-from projclust import geometry, jl, solvers
+from projclust import cli, geometry, jl, solvers
 from projclust.cli import main, preset_t
 
 
@@ -378,6 +379,13 @@ def test_preset_t_values():
         preset_t("medoids", 3, 2, 0.3, 200, 100)
 
 
+def test_preset_t_refuses_k_and_d_below_one():
+    for problem in ("clustering", "subspace", "flat", "lines"):
+        for k, d in ((0, 100), (1, 0), (-1, 100)):
+            with pytest.raises(ValueError, match="k and d must be positive"):
+                preset_t(problem, k, 2, 0.3, 200, d)
+
+
 def test_preset_t_verbose_prints_formula(capsys):
     preset_t("clustering", 3, 2, 0.3, 200, 100, verbose=True)
     assert "ln k" in capsys.readouterr().out
@@ -407,6 +415,38 @@ def test_import_loads_no_scipy():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_summary_commands_load_no_numpy_ma(tmp_path):
+    # np.median and np.percentile import numpy.ma on first use; the
+    # commands' summaries take their arithmetic without it
+    src = os.path.dirname(os.path.dirname(projclust.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys; from projclust.cli import main; "
+            "main(['gen', '--kind', 'points-near-k-flat', '--n', '60', '--d', '5', "
+            "'--k', '2', '--seed', '1', '--out', 'pts.txt']); "
+            "main(['coreset', '--in', 'pts.txt', '--problem', 'flat', '--k', '2', "
+            "'--z', '1', '--m', '20', '--t', '3', '--trials', '2', '--out', 'c.csv']); "
+            "main(['preserve', '--problem', 'clustering', '--n', '40', '--d', '5', "
+            "'--k', '2', '--t-list', '2,3', '--trials', '2', '--out', 'p.csv']); "
+            "main(['counterexample', '--n', '100', '--t', '3', '--trials', '2', "
+            "'--out', 'x.csv']); "
+            "print('numpy.ma' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 1e6), st.just(np.inf)), min_size=1, max_size=59))
+def test_quantiles_match_numpy(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf in numpy's lerp
+        want = (np.median(values), np.percentile(values, 5), np.percentile(values, 95))
+    npt.assert_array_equal(cli._quantiles(values), want)
 
 
 def test_parser_rejects_garbage():

@@ -153,8 +153,18 @@ def test_line_coreset_k1_always_two_extremes():
 
 
 def test_line_coreset_rejects_non_collinear():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not lie on its assigned line"):
         line_coreset_1d(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.3]]), 2)
+
+
+def test_line_coreset_far_from_the_origin():
+    # The on-line test scales with the points' norms, as line_coreset_klines
+    # has it, so a line fitted far out is not refused for its rounding.
+    t = np.linspace(-1.0, 1.0, 9)
+    base = line_coreset_1d(np.multiply.outer(t, [0.6, 0.8]), 2)
+    for off in (1e8, 1e9):
+        pts = np.array([off, -off / 2]) + np.multiply.outer(t, [0.6, 0.8])
+        npt.assert_array_equal(line_coreset_1d(pts, 2), base)
 
 
 def test_line_coreset_duplicate_points():

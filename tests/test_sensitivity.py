@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from projclust import geometry
 from projclust.geometry import Dataset, CenterSet, Subspace, Flat, Line, LineSet
 from projclust.jl import sample_jl, identity_map
-from projclust.coreset import _coreset_1d
+from projclust.coreset import COVER_FACTOR, _coreset_1d
 from projclust.sensitivity import (
-    PEEL_CONSTANT, SensitivityProfile, _profile,
+    SensitivityProfile, _profile,
     clustering_sensitivity, subspace_sensitivity, flat_sensitivity,
     line_sensitivity, sup_ratios,
     event_e4_statistic, event_e4_bound,
@@ -332,7 +332,7 @@ def long_way_line_profile(data, lines, z):
         layer_index[layer] = depth
         remaining = np.setdiff1d(remaining, layer, assume_unique=True)
     dist = geometry.distances("lines", data, lines)
-    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * PEEL_CONSTANT / layer_index)
+    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * COVER_FACTOR / layer_index)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -401,6 +401,14 @@ def test_e4_large_t_near_total():
     stat = event_e4_statistic(x, c, sample_jl(6, 4000, seed=1), 2, prof)
     assert stat == pytest.approx(prof.total, rel=0.1)
     assert stat <= event_e4_bound(3, 2)
+
+
+def test_e4_refuses_a_map_of_another_dimension():
+    x = Dataset(np.random.default_rng(15).normal(size=(10, 4)))
+    c = CenterSet(np.zeros((1, 4)))
+    prof = clustering_sensitivity(x, c, 2)
+    with pytest.raises(ValueError, match="input dimension 4 != map input dimension 5"):
+        event_e4_statistic(x, c, sample_jl(5, 3, seed=0), 2, prof)
 
 
 def test_e4_bound_value():
