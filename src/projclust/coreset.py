@@ -168,6 +168,8 @@ def _recurse_1d(order, p, a, b, k, out):
 
 def coreset_size_bound(k, n):
     """A generous ceiling on the size of :func:`line_coreset_1d` output."""
+    if k < 1 or n < 0:
+        raise ValueError("k must be positive and n non-negative")
     if n <= 2:
         return n
     if k == 1:

@@ -287,17 +287,6 @@ def project_line(x, line):
     return line.anchor + np.multiply.outer(t, line.direction)
 
 
-def _project_to_lines(pts, lines, labels):
-    """Row i of ``pts`` projected onto ``lines[labels[i]]``, one
-    :func:`project_line` call per line."""
-    out = np.empty_like(pts)
-    for j, ln in enumerate(lines):
-        mask = labels == j
-        if np.any(mask):
-            out[mask] = project_line(pts[mask], ln)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Distances, assignment, and cost
 
@@ -349,6 +338,29 @@ def _checked_points(problem, data, solution):
     return pts
 
 
+def _match(problem, pts, solution):
+    """``(labels, feet, dist)`` of the rows ``pts``, which passed
+    :func:`_checked_points`: the nearest shape (lowest index on ties, 0 for a
+    subspace or flat), the nearest center or the projection, and the distance
+    (``sqrt`` of the least squared distance for centers and lines, the
+    residual norm for subspaces and flats)."""
+    if problem in ("subspace", "flat"):
+        feet = (project_subspace if problem == "subspace" else project_flat)(pts, solution)
+        return np.zeros(len(pts), dtype=np.intp), feet, np.linalg.norm(pts - feet, axis=1)
+    if problem == "clustering":
+        sq = _sq_dists_to_centers(pts, solution.centers)
+        labels = np.argmin(sq, axis=1)
+        return labels, solution.centers[labels], _nearest(sq)
+    sq = _sq_dists_to_lines(pts, solution.lines)
+    labels = np.argmin(sq, axis=1)
+    feet = np.empty_like(pts)
+    for j, ln in enumerate(solution.lines):
+        mask = labels == j
+        if np.any(mask):
+            feet[mask] = project_line(pts[mask], ln)
+    return labels, feet, _nearest(sq)
+
+
 def distances(problem, data, solution):
     """Per-point Euclidean distance to the nearest shape of the solution.
 
@@ -363,14 +375,7 @@ def distances(problem, data, solution):
     -------
     (n,) float array of distances.
     """
-    pts = _checked_points(problem, data, solution)
-    if problem == "clustering":
-        return _nearest(_sq_dists_to_centers(pts, solution.centers))
-    if problem == "subspace":
-        return np.linalg.norm(pts - project_subspace(pts, solution), axis=1)
-    if problem == "flat":
-        return np.linalg.norm(pts - project_flat(pts, solution), axis=1)
-    return _nearest(_sq_dists_to_lines(pts, solution.lines))
+    return _match(problem, _checked_points(problem, data, solution), solution)[2]
 
 
 def _nearest(sq):
@@ -385,10 +390,7 @@ def assignment(problem, data, solution):
     """
     if problem not in ("clustering", "lines"):
         raise ValueError("assignment is defined for 'clustering' and 'lines' only")
-    pts = _checked_points(problem, data, solution)
-    if problem == "clustering":
-        return np.argmin(_sq_dists_to_centers(pts, solution.centers), axis=1)
-    return np.argmin(_sq_dists_to_lines(pts, solution.lines), axis=1)
+    return _match(problem, _checked_points(problem, data, solution), solution)[0]
 
 
 def cost_pow(problem, data, solution, z):

@@ -81,30 +81,38 @@ def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
 
     The value is clamped to [1, d]; ``const`` rescales the lead constant.  A
     k-flat is sized as the (k+1)-subspace of the points lifted by a constant.
+    ``eps`` and ``const`` must be finite and positive.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    for name, v in (("eps", eps), ("const", const)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
     if k < 1 or d < 1:
         raise ValueError("k and d must be positive")
     geometry._check_z(z)
+    # each formula is num / eps^p
     if problem == "clustering":
-        raw = (math.log(k) + z * math.log(1.0 / eps)) / eps ** 2
+        num, p = math.log(k) + z * math.log(1.0 / eps), 2
         formula = "(ln k + z ln(1/eps)) / eps^2"
     elif problem in ("subspace", "flat"):
         r, name = (k + 1, "(k+1)") if problem == "flat" else (k, "k")
         if z == 2:
-            raw = r / eps ** 2
+            num, p = r, 2
             formula = f"{name} / eps^2"
         else:
-            raw = z * r ** 2 * (1.0 + math.log(r / eps)) ** 2 / eps ** 3
+            num, p = z * r ** 2 * (1.0 + math.log(r / eps)) ** 2, 3
             formula = f"z {name}^2 (1 + ln({name}/eps))^2 / eps^3"
     elif problem == "lines":
         loglog = max(math.log(max(math.log(max(n, 2)), 1.0)), 0.0)
-        raw = (k * loglog + z + math.log(1.0 / eps)) / eps ** 3
+        num, p = k * loglog + z + math.log(1.0 / eps), 3
         formula = "(k lnln n + z + ln(1/eps)) / eps^3"
     else:
         raise ValueError(f"unknown problem: {problem!r}")
-    t = min(int(d), max(1, math.ceil(const * raw)))
+    try:
+        x = const * (num / eps ** p)
+    except (OverflowError, ZeroDivisionError):      # eps^p out of the float range
+        x = (math.exp(min(math.log(const) + math.log(num) - p * math.log(eps), 709.0))
+             if num > 0 else 0.0)
+    t = int(d) if x >= d else max(1, math.ceil(x))
     if verbose:
         print(f"preset t={t} from {formula} (const={const!r})")
     return t

@@ -16,10 +16,6 @@ import numpy as np
 
 from . import geometry, jl
 from .coreset import COVER_FACTOR, peel_partition
-from .geometry import (
-    CenterSet, Subspace, Flat, LineSet,
-    project_subspace, project_flat,
-)
 
 
 class SensitivityProfile:
@@ -61,19 +57,30 @@ class SensitivityProfile:
         return f"SensitivityProfile(n={self.n}, total={self.total:.6g})"
 
 
-def _profile(dist, z, tail):
-    """The shared profile shape  2^(z-1) * dist^z / cost + tail.
+def _sensitivity(problem, data, solution, z):
+    """The body of the four ``*_sensitivity`` functions:
 
-    ``dist`` holds the distances to the reference solution and ``tail`` the
-    caller's per-point second term; the first term is dropped when the
-    reference cost is zero.
+        sigma(x) = 2^(z-1) * dist(x)^z / cost + 2^(2z-1) * tail(x),
+
+    both terms read off one :func:`geometry._match` of the rows to
+    ``solution``; the problem picks the tail, and the first term is dropped
+    when the reference cost is zero.
     """
+    z = geometry._check_z(z)
+    pts = geometry._checked_points(problem, data, solution)
+    labels, feet, dist = geometry._match(problem, pts, solution)
+    n, lead = pts.shape[0], 2.0 ** (2.0 * z - 1.0)
+    if problem == "clustering":
+        tail = lead / np.bincount(labels, minlength=solution.k)[labels]
+    elif problem == "lines":
+        tail = lead * COVER_FACTOR / peel_partition(feet, solution, labels).layer_index
+    else:   # the lifted projections of a flat are never all at the origin
+        y = np.hstack([feet, np.ones((n, 1))]) if problem == "flat" else feet
+        at_origin = float(np.max(np.linalg.norm(y, axis=1))) == 0.0
+        tail = lead * (np.full(n, 1.0 / n) if at_origin else sup_ratios(y, z))
     cost = float(np.sum(dist ** z))
-    sigma = np.zeros(dist.shape[0])
-    if cost > 0:
-        sigma += 2.0 ** (z - 1.0) * dist ** z / cost
-    sigma += tail
-    return SensitivityProfile(sigma)
+    head = 2.0 ** (z - 1.0) * dist ** z / cost if cost > 0 else 0.0
+    return SensitivityProfile(head + tail)
 
 
 def clustering_sensitivity(data, centers, z):
@@ -88,13 +95,7 @@ def clustering_sensitivity(data, centers, z):
     add up to exactly ``2^(z-1) + 2^(2z-1) * k'`` (k' = non-empty clusters)
     whenever the cost is positive.
     """
-    z = geometry._check_z(z)
-    pts = geometry._checked_points("clustering", data, centers)
-    sq = geometry._sq_dists_to_centers(pts, centers.centers)
-    assign = np.argmin(sq, axis=1)
-    dist = geometry._nearest(sq)
-    sizes = np.bincount(assign, minlength=centers.k)
-    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) / sizes[assign])
+    return _sensitivity("clustering", data, centers, z)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +197,7 @@ def subspace_sensitivity(data, subspace, z):
     term is dropped at zero reference cost; if every projection is the
     origin the supremum term degenerates to the uniform value 1/n.
     """
-    z = geometry._check_z(z)
-    pts = geometry._checked_points("subspace", data, subspace)
-    return _projection_profile(pts, project_subspace(pts, subspace), z, affine=False)
+    return _sensitivity("subspace", data, subspace, z)
 
 
 def flat_sensitivity(data, flat, z):
@@ -210,25 +209,7 @@ def flat_sensitivity(data, flat, z):
     supremum one dimension up, which is how it is computed here; the
     supremum term is the :func:`sup_ratios` bound of the lifted points.
     """
-    z = geometry._check_z(z)
-    pts = geometry._checked_points("flat", data, flat)
-    return _projection_profile(pts, project_flat(pts, flat), z, affine=True)
-
-
-def _projection_profile(pts, proj, z, affine):
-    """The body of :func:`subspace_sensitivity` and :func:`flat_sensitivity`.
-
-    ``proj`` holds the projections of ``pts``.  With ``affine`` the supremum
-    runs over the projections lifted by a constant coordinate 1, which are
-    never all zero, so only the linear case can fall back to uniform 1/n.
-    """
-    n = pts.shape[0]
-    y = np.hstack([proj, np.ones((n, 1))]) if affine else proj
-    if float(np.max(np.linalg.norm(y, axis=1))) == 0.0:
-        sup = np.full(n, 1.0 / n)
-    else:
-        sup = sup_ratios(y, z)
-    return _profile(np.linalg.norm(pts - proj, axis=1), z, 2.0 ** (2.0 * z - 1.0) * sup)
+    return _sensitivity("flat", data, flat, z)
 
 
 def line_sensitivity(data, lines, z):
@@ -243,32 +224,11 @@ def line_sensitivity(data, lines, z):
 
     with c = ``coreset.COVER_FACTOR``, the peeling's cover inflation factor.
     """
-    z = geometry._check_z(z)
-    pts = geometry._checked_points("lines", data, lines)
-    sq = geometry._sq_dists_to_lines(pts, lines.lines)
-    labels = np.argmin(sq, axis=1)
-    peel = peel_partition(geometry._project_to_lines(pts, lines.lines, labels), lines, labels)
-    dist = geometry._nearest(sq)
-    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * COVER_FACTOR / peel.layer_index)
+    return _sensitivity("lines", data, lines, z)
 
 
 # ---------------------------------------------------------------------------
 # Projected-residual event
-
-
-def _reference_points(pts, solution):
-    """The per-point reference (nearest center or projection) for a solution."""
-    if isinstance(solution, CenterSet):
-        a = geometry.assignment("clustering", pts, solution)
-        return solution.centers[a]
-    if isinstance(solution, Subspace):
-        return project_subspace(pts, solution)
-    if isinstance(solution, Flat):
-        return project_flat(pts, solution)
-    if isinstance(solution, LineSet):
-        a = geometry.assignment("lines", pts, solution)
-        return geometry._project_to_lines(pts, solution.lines, a)
-    raise ValueError("solution must be a CenterSet, Subspace, Flat, or LineSet")
 
 
 def event_e4_statistic(data, solution, pi, z, profile):
@@ -282,10 +242,14 @@ def event_e4_statistic(data, solution, pi, z, profile):
     is not the data's raises ValueError, as :func:`projclust.jl.apply` does.
     """
     z = geometry._check_z(z)
-    pts = geometry._points_of(data)
+    problem = next((p for p, shape in geometry._SHAPE_TYPES.items()
+                    if isinstance(solution, shape)), None)
+    if problem is None:
+        raise ValueError("solution must be a CenterSet, Subspace, Flat, or LineSet")
+    pts = geometry._checked_points(problem, data, solution)
     if profile.n != pts.shape[0]:
         raise ValueError("profile length does not match the data")
-    ref = _reference_points(pts, solution)
+    ref = geometry._match(problem, pts, solution)[1]
     dist = np.linalg.norm(pts - ref, axis=1)
     pdist = np.linalg.norm(jl.apply(pi, pts - ref), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

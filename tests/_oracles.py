@@ -37,15 +37,27 @@ earlier descents: :func:`ref_grassmann_descent` over orthonormal frames
 (a subspace), and for a flat up to 10 rounds that alternate 60 such steps
 with a center in the orthogonal complement by :func:`ref_descent_center`,
 whose step is ``step * g / max(|g|, 1)`` in the data's own units.
+
+The point-to-shape references :func:`ref_distances`, :func:`ref_assignment`,
+:func:`ref_reference_points` and :func:`ref_sensitivity` (with
+:func:`ref_e4_statistic`) match points to a solution with one branch per
+shape type each, as four separate bodies, and build each sensitivity from
+:func:`ref_profile` and its own per-problem tail.
+
+:func:`ref_preset_t` is the projection-dimension preset as a plain formula,
+with no refusal of eps or const beyond eps <= 0.
 """
+
+import math
 
 import numpy as np
 
-from projclust import geometry
+from projclust import geometry, jl
 from projclust._rng import rng_stream
-from projclust.coreset import _TIE_REL
+from projclust.coreset import _TIE_REL, COVER_FACTOR, peel_partition
 from projclust.geometry import CenterSet, Line, LineSet, WeightedSet
-from projclust.geometry import Flat, Subspace
+from projclust.geometry import Flat, Subspace, project_flat, project_line, project_subspace
+from projclust.sensitivity import SensitivityProfile, sup_ratios
 from projclust.solvers import (
     EXACT_CLUSTERING_MAX_N, EXACT_LINES_MAX_N, SolveReport, _best_of_restarts,
     _best_partition, _center, _default_dir, _fit_line, _irls, _line_through, _report,
@@ -493,3 +505,126 @@ def ref_flat(data, k, z, restarts, seed):
     polish, method = (irls, "span-search+irls") if z < 2.0 else (alternate, "alternating-descent")
     return _ref_frame_search("flat", data, pts, w, k, z, restarts, seed,
                              (centroid, pca), polish, method)
+
+
+def ref_distances(problem, data, solution):
+    """Distance to the nearest shape, one branch per problem."""
+    pts = geometry._checked_points(problem, data, solution)
+    if problem == "clustering":
+        return geometry._nearest(geometry._sq_dists_to_centers(pts, solution.centers))
+    if problem == "subspace":
+        return np.linalg.norm(pts - project_subspace(pts, solution), axis=1)
+    if problem == "flat":
+        return np.linalg.norm(pts - project_flat(pts, solution), axis=1)
+    return geometry._nearest(geometry._sq_dists_to_lines(pts, solution.lines))
+
+
+def ref_assignment(problem, data, solution):
+    """Index of the nearest center or line, lowest index on ties."""
+    if problem not in ("clustering", "lines"):
+        raise ValueError("assignment is defined for 'clustering' and 'lines' only")
+    pts = geometry._checked_points(problem, data, solution)
+    if problem == "clustering":
+        return np.argmin(geometry._sq_dists_to_centers(pts, solution.centers), axis=1)
+    return np.argmin(geometry._sq_dists_to_lines(pts, solution.lines), axis=1)
+
+
+def ref_project_to_lines(pts, lines, labels):
+    """Row i of ``pts`` projected onto ``lines[labels[i]]``, one
+    ``project_line`` call per line."""
+    out = np.empty_like(pts)
+    for j, ln in enumerate(lines):
+        mask = labels == j
+        if np.any(mask):
+            out[mask] = project_line(pts[mask], ln)
+    return out
+
+
+def ref_reference_points(pts, solution):
+    """The per-point reference (nearest center or projection) for a solution."""
+    if isinstance(solution, CenterSet):
+        a = ref_assignment("clustering", pts, solution)
+        return solution.centers[a]
+    if isinstance(solution, Subspace):
+        return project_subspace(pts, solution)
+    if isinstance(solution, Flat):
+        return project_flat(pts, solution)
+    if isinstance(solution, LineSet):
+        a = ref_assignment("lines", pts, solution)
+        return ref_project_to_lines(pts, solution.lines, a)
+    raise ValueError("solution must be a CenterSet, Subspace, Flat, or LineSet")
+
+
+def ref_profile(dist, z, tail):
+    """The profile shape  2^(z-1) * dist^z / cost + tail, the first term
+    dropped when the reference cost is zero."""
+    cost = float(np.sum(dist ** z))
+    sigma = np.zeros(dist.shape[0])
+    if cost > 0:
+        sigma += 2.0 ** (z - 1.0) * dist ** z / cost
+    sigma += tail
+    return SensitivityProfile(sigma)
+
+
+def ref_sensitivity(problem, data, solution, z):
+    """The four sensitivities as separate bodies over :func:`ref_profile`."""
+    z = geometry._check_z(z)
+    pts = geometry._checked_points(problem, data, solution)
+    lead = 2.0 ** (2.0 * z - 1.0)
+    if problem == "clustering":
+        sq = geometry._sq_dists_to_centers(pts, solution.centers)
+        assign = np.argmin(sq, axis=1)
+        sizes = np.bincount(assign, minlength=solution.k)
+        return ref_profile(geometry._nearest(sq), z, lead / sizes[assign])
+    if problem == "lines":
+        sq = geometry._sq_dists_to_lines(pts, solution.lines)
+        labels = np.argmin(sq, axis=1)
+        peel = peel_partition(ref_project_to_lines(pts, solution.lines, labels),
+                              solution, labels)
+        return ref_profile(geometry._nearest(sq), z, lead * COVER_FACTOR / peel.layer_index)
+    n = pts.shape[0]
+    if problem == "subspace":
+        proj = project_subspace(pts, solution)
+        y = proj
+    else:
+        proj = project_flat(pts, solution)
+        y = np.hstack([proj, np.ones((n, 1))])
+    if float(np.max(np.linalg.norm(y, axis=1))) == 0.0:
+        sup = np.full(n, 1.0 / n)
+    else:
+        sup = sup_ratios(y, z)
+    return ref_profile(np.linalg.norm(pts - proj, axis=1), z, lead * sup)
+
+
+def ref_e4_statistic(data, solution, pi, z, profile):
+    """The projected-residual statistic from :func:`ref_reference_points`."""
+    z = geometry._check_z(z)
+    pts = geometry._points_of(data)
+    ref = ref_reference_points(pts, solution)
+    dist = np.linalg.norm(pts - ref, axis=1)
+    pdist = np.linalg.norm(jl.apply(pi, pts - ref), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(dist == 0.0, 1.0, pdist / np.where(dist == 0.0, 1.0, dist))
+    return float(np.sum(ratio ** (2.0 * z) * profile.sigma))
+
+
+def ref_preset_t(problem, k, z, eps, n, d, const=1.0):
+    """The preset's t and formula, as ``min(d, max(1, ceil(const * raw)))``."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if problem == "clustering":
+        raw = (math.log(k) + z * math.log(1.0 / eps)) / eps ** 2
+        formula = "(ln k + z ln(1/eps)) / eps^2"
+    elif problem in ("subspace", "flat"):
+        r, name = (k + 1, "(k+1)") if problem == "flat" else (k, "k")
+        if z == 2:
+            raw = r / eps ** 2
+            formula = f"{name} / eps^2"
+        else:
+            raw = z * r ** 2 * (1.0 + math.log(r / eps)) ** 2 / eps ** 3
+            formula = f"z {name}^2 (1 + ln({name}/eps))^2 / eps^3"
+    else:
+        loglog = max(math.log(max(math.log(max(n, 2)), 1.0)), 0.0)
+        raw = (k * loglog + z + math.log(1.0 / eps)) / eps ** 3
+        formula = "(k lnln n + z + ln(1/eps)) / eps^3"
+    return min(int(d), max(1, math.ceil(const * raw))), formula

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 import projclust
 from projclust import cli, geometry, jl, solvers
 from projclust.cli import main, preset_t
+
+from _oracles import ref_preset_t
 
 
 def read_csv(path):
@@ -384,6 +387,42 @@ def test_preset_t_refuses_k_and_d_below_one():
         for k, d in ((0, 100), (1, 0), (-1, 100)):
             with pytest.raises(ValueError, match="k and d must be positive"):
                 preset_t(problem, k, 2, 0.3, 200, d)
+
+
+def test_preset_t_refuses_eps_and_const_that_are_not_finite_and_positive():
+    for name, bad in (("eps", 0.0), ("eps", -0.1), ("eps", np.nan), ("eps", np.inf),
+                      ("const", 0.0), ("const", -3.0), ("const", np.nan), ("const", np.inf)):
+        args = {"eps": 0.3, "const": 1.0, name: bad}
+        for problem in ("clustering", "subspace", "flat", "lines"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                preset_t(problem, 2, 2, args["eps"], 200, 100, const=args["const"])
+
+
+def test_preset_t_clamps_extreme_formulas_without_overflow():
+    for problem in ("clustering", "subspace", "flat", "lines"):
+        for z in (1, 2):
+            for eps in (1e-120, 1e-200, 5e-324):
+                assert preset_t(problem, 2, z, eps, 200, 100) == 100
+            for eps in (1e-200, 5e-324):    # eps^p underflows to 0
+                assert preset_t(problem, 2, z, eps, 200, 100, const=5e-324) == 100
+            assert preset_t(problem, 2, z, 0.3, 200, 100, const=1e308) == 100
+            assert preset_t(problem, 2, z, 1e200, 200, 100) == 1
+            assert preset_t(problem, 2, z, 0.3, 200, 100, const=5e-324) == 1
+
+
+def test_preset_t_keeps_the_plain_formula_on_a_grid(capsys):
+    for problem, k, z, eps, n, d, const in itertools.product(
+            ("clustering", "subspace", "flat", "lines"), (1, 2, 5), (1, 1.5, 2, 3),
+            (0.1, 0.3, 0.9), (2, 200), (10, 10 ** 5), (0.5, 1, 2)):
+        want, formula = ref_preset_t(problem, k, z, eps, n, d, const)
+        assert preset_t(problem, k, z, eps, n, d, const=const, verbose=True) == want
+        assert capsys.readouterr().out == f"preset t={want} from {formula} (const={const!r})\n"
+
+
+def test_preserve_refuses_an_infinite_const(tmp_path, capsys):
+    assert main(["preserve", "--problem", "clustering", "--n", "20", "--d", "5",
+                 "--const", "inf", "--out", str(tmp_path / "p.csv")]) == 2
+    assert "error: const must be finite and positive" in capsys.readouterr().err
 
 
 def test_preset_t_verbose_prints_formula(capsys):

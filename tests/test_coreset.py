@@ -197,6 +197,13 @@ def test_line_coreset_size_bound():
             assert len(got) <= coreset_size_bound(k, n)
 
 
+def test_coreset_size_bound_refuses_k_below_one_and_negative_n():
+    for k, n in ((0, 100), (-1, 100), (2, -1)):
+        with pytest.raises(ValueError, match="k must be positive and n non-negative"):
+            coreset_size_bound(k, n)
+    assert coreset_size_bound(3, 0) == 0 and coreset_size_bound(1, 100) == 2
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_line_coreset_cover_audit_small(seed):
     rng = np.random.default_rng(seed)

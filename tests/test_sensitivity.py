@@ -8,13 +8,16 @@ from projclust.geometry import Dataset, CenterSet, Subspace, Flat, Line, LineSet
 from projclust.jl import sample_jl, identity_map
 from projclust.coreset import COVER_FACTOR, _coreset_1d
 from projclust.sensitivity import (
-    SensitivityProfile, _profile,
+    SensitivityProfile,
     clustering_sensitivity, subspace_sensitivity, flat_sensitivity,
     line_sensitivity, sup_ratios,
     event_e4_statistic, event_e4_bound,
 )
 
-from _oracles import ascent_sup_ratios, grid_sup_ratios
+from _oracles import (
+    ascent_sup_ratios, grid_sup_ratios, ref_assignment, ref_distances,
+    ref_e4_statistic, ref_profile, ref_project_to_lines, ref_sensitivity,
+)
 
 
 def total_identity(z, k_nonempty):
@@ -307,7 +310,7 @@ def long_way_line_profile(data, lines, z):
     n, k = pts.shape[0], lines.k
     labels = geometry.assignment("lines", data, lines)
     assign = [lines.lines[i] for i in labels]
-    proj = geometry._project_to_lines(pts, lines.lines, labels)
+    proj = ref_project_to_lines(pts, lines.lines, labels)
     groups, group_of = [], np.empty(n, dtype=np.int64)
     for i, ln in enumerate(assign):
         for j, g in enumerate(groups):
@@ -332,7 +335,7 @@ def long_way_line_profile(data, lines, z):
         layer_index[layer] = depth
         remaining = np.setdiff1d(remaining, layer, assume_unique=True)
     dist = geometry.distances("lines", data, lines)
-    return _profile(dist, z, 2.0 ** (2.0 * z - 1.0) * COVER_FACTOR / layer_index)
+    return ref_profile(dist, z, 2.0 ** (2.0 * z - 1.0) * COVER_FACTOR / layer_index)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -342,7 +345,7 @@ def test_line_sensitivity_matches_long_way(k):
         n, d = int(rng.integers(5, 80)), int(rng.integers(2, 5))
         lines = [Line.through(rng.normal(size=d), rng.normal(size=d)) for _ in range(k)]
         if trial % 2:
-            lines.append(lines[0])          # repeated line, as exact-solver padding
+            lines.append(lines[0])  # repeated line, as exact-solver padding
         ls = LineSet(lines)
         owner = rng.integers(k, size=n)
         pts = np.stack([lines[j].anchor + rng.normal(0, 3) * lines[j].direction
@@ -367,6 +370,114 @@ def test_sensitivities_refuse_the_wrong_shape_type():
         line_sensitivity(x, centers, 2)
     with pytest.raises(ValueError, match="data dimension 2 != solution dimension 3"):
         flat_sensitivity(x, Flat(Subspace([[1.0, 0.0, 0.0]]), [0.0, 0.0, 0.0]), 2)
+
+
+# ---------------------------------------------------------------------------
+# One point-to-shape match against the per-problem references
+
+
+SENSITIVITY = {"clustering": clustering_sensitivity, "subspace": subspace_sensitivity,
+               "flat": flat_sensitivity, "lines": line_sensitivity}
+
+
+@st.composite
+def matched_cases(draw):
+    """A problem, a data set and a solution with the awkward cases drawn
+    often: integer grids (tied rows and rows equidistant from two shapes),
+    repeated rows, repeated shapes, far shapes that no row picks (empty
+    clusters and lines), weighted sets with zero weights, and scales by a
+    power of two."""
+    problem = draw(st.sampled_from(geometry.PROBLEMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d, k = draw(st.integers(1, 60)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = draw(st.booleans())
+
+    def draw_points(m):
+        return (rng.integers(-3, 4, size=(m, d)).astype(float) if grid
+                else rng.normal(size=(m, d)))
+
+    pts = draw_points(n)
+    if draw(st.booleans()):
+        pts[rng.integers(n, size=n // 2)] = pts[0]  # tied rows
+    if problem == "clustering":
+        shapes = draw_points(k)
+        if draw(st.booleans()):
+            shapes[-1] = shapes[0]  # repeated center
+        if draw(st.booleans()):
+            shapes[0] += 1e3  # empty cluster
+        sol = CenterSet(shapes)
+    elif problem == "lines":
+        lines = []
+        while len(lines) < k:
+            a, b = draw_points(1)[0], draw_points(1)[0]
+            if not np.array_equal(a, b):
+                lines.append(Line.through(a, b))
+        if draw(st.booleans()):
+            lines.append(lines[0])  # repeated line
+        if draw(st.booleans()):  # a far line that no row picks
+            lines.append(Line.canonical(lines[0].anchor + 1e3, lines[0].direction))
+        sol = LineSet(lines)
+    else:
+        basis = Subspace.from_spanning(rng.normal(size=(min(k, d), d)))
+        sol = basis if problem == "subspace" else Flat.from_point(basis, draw_points(1)[0])
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    pts, sol = pts * scale, _scaled(sol, scale)
+    if draw(st.booleans()):
+        w = rng.integers(0, 4, size=n).astype(float)
+        w[0] = max(w[0], 1.0)
+        data = geometry.WeightedSet(pts, w)
+    else:
+        data = Dataset(pts)
+    return problem, data, sol, draw(st.sampled_from([1.0, 1.25, 1.5, 2.0, 2.7, 3.0]))
+
+
+def _scaled(sol, s):
+    if isinstance(sol, CenterSet):
+        return CenterSet(sol.centers * s)
+    if isinstance(sol, LineSet):
+        return LineSet([Line(ln.anchor * s, ln.direction) for ln in sol.lines])
+    if isinstance(sol, Flat):
+        return Flat(sol.direction, sol.translation * s)
+    return sol
+
+
+def _outcome(f, *args):
+    try:
+        out = f(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+    if isinstance(out, SensitivityProfile):
+        return out.sigma.tobytes()
+    return np.asarray(out).tobytes(), np.asarray(out).dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(matched_cases())
+def test_match_equals_the_per_problem_references(case):
+    problem, data, sol, z = case
+    assert _outcome(geometry.distances, problem, data, sol) == \
+        _outcome(ref_distances, problem, data, sol)
+    assert _outcome(geometry.assignment, problem, data, sol) == \
+        _outcome(ref_assignment, problem, data, sol)
+    got = _outcome(SENSITIVITY[problem], data, sol, z)
+    assert got == _outcome(ref_sensitivity, problem, data, sol, z)
+    prof = SENSITIVITY[problem](data, sol, z)
+    pi = sample_jl(data.d, 3, seed=0)
+    assert event_e4_statistic(data, sol, pi, z, prof) == \
+        ref_e4_statistic(data, sol, pi, z, prof)
+
+
+def test_e4_refuses_a_solution_of_another_dimension():
+    x = Dataset(np.random.default_rng(16).normal(size=(6, 3)))
+    prof = SensitivityProfile(np.ones(6))
+    pi = identity_map(3)
+    for sol in (CenterSet(np.zeros((2, 2))), Subspace([[1.0, 0.0]]),
+                Flat(Subspace([[1.0, 0.0]]), [0.0, 1.0]),
+                LineSet([Line.canonical([0.0, 0.0], [1.0, 1.0])])):
+        with pytest.raises(ValueError, match="data dimension 3 != solution dimension 2"):
+            event_e4_statistic(x, sol, pi, 2, prof)
+    with pytest.raises(ValueError, match="solution must be a CenterSet"):
+        event_e4_statistic(x, np.zeros((2, 3)), pi, 2, prof)
 
 
 # ---------------------------------------------------------------------------
