@@ -1,5 +1,17 @@
 """Random-projection dimension reduction for projective clustering."""
 
+import os
+import sys
+
+# One level of parallelism: the CLI's worker pool.  OpenBLAS threads
+# busy-wait after every threaded product and compete with that pool, so
+# OpenBLAS runs on one thread unless the caller has set a value.  OpenBLAS
+# reads the variable once, when numpy first loads it, so it is written only
+# if numpy is not loaded yet; otherwise it would misreport the threads of
+# the library already running.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .geometry import (
     PROBLEMS,
     Dataset,

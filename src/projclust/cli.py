@@ -1,9 +1,12 @@
 """Command line driver: generate data, project, solve, sample, run experiments.
 
-Every experiment is deterministic given its --seed: work items draw from
-per-index generator streams, and the worker pool (capped by the
-PROJCLUST_THREADS environment variable) never changes the output ordering,
-so result files are byte-identical across runs and thread counts.
+The worker pool is the only level of parallelism.  It runs one thread per
+core this process may use (the PROJCLUST_THREADS environment variable
+overrides the count), and OpenBLAS runs on one thread unless the caller sets
+OPENBLAS_NUM_THREADS (see the package's ``__init__``).  Every experiment is
+deterministic given its --seed: work items draw from per-index generator
+streams, and the pool never changes the output ordering, so result files are
+byte-identical across runs and pool sizes.
 """
 
 import argparse
@@ -34,7 +37,12 @@ def _num_threads():
         n = int(raw)
     except ValueError:
         n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    if n > 0:
+        return n
+    try:            # the cores this process may run on, under taskset or a cpuset
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # not every platform has it
+        return os.cpu_count() or 1
 
 
 def _run_tasks(worker, tasks):
@@ -43,7 +51,8 @@ def _run_tasks(worker, tasks):
     if workers <= 1:
         return [worker(t) for t in tasks]
     # Worth its memory: numpy releases the GIL, so counterexample
-    # (n = 10^6, t = 3) runs 1.8x faster on 2 cores than on 1.
+    # (n = 10^6, t = 3, 10 trials) runs 1.8x faster on 2 cores than on 1
+    # (2.06 against 1.14 s, median of 4 whole commands on a 2-vCPU host).
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
@@ -267,42 +276,49 @@ def cmd_preserve(args):
         raise ValueError(f"need 1 <= t <= d for every t in {ts} with d={args.d}")
     trials = args.trials
     make = _INSTANCE_FOR_PROBLEM[problem]
+    datasets = _run_tasks(
+        lambda trial: make(args.n, args.d, args.k, 1.0, rng_stream(args.seed, trial)),
+        list(range(trials)))
 
-    def full_solve(trial):
-        data = make(args.n, args.d, args.k, 1.0, rng_stream(args.seed, trial))
-        return data, float(_solve(args, data).cost)
-
-    full = _run_tasks(full_solve, list(range(trials)))
-
-    def project_solve(task):
+    def solve_task(task):
+        """The full solve of a trial (ti is None; a refusal ends the run) or
+        its projection to ts[ti], which is None when refused."""
         ti, trial = task
-        data, cost_full = full[trial]
+        data = datasets[trial]
+        if ti is None:
+            return float(_solve(args, data).cost)
         try:
             if args.identity:
                 pi = jl.identity_map(args.d)
             else:
                 pi = jl.sample_jl(args.d, ts[ti], args.seed,
                                   stream=trials + ti * trials + trial)
-            rep = _solve(args, jl.apply(pi, data))
+            return _solve(args, jl.apply(pi, data))
         except (ValueError, np.linalg.LinAlgError):
-            return ["failed", None, cost_full, None, None]
-        return ["ok", rep.method, cost_full, float(rep.cost),
-                _safe_ratio(float(rep.cost), cost_full)]
+            return None
 
+    # one task list, the larger full solves first, so that the pool is the
+    # only level of parallelism and no core idles while they run
     tasks = [(ti, trial) for ti in range(len(ts)) for trial in range(trials)]
-    results = _run_tasks(project_solve, tasks)
+    solved = _run_tasks(solve_task, [(None, trial) for trial in range(trials)] + tasks)
+    full = solved[:trials]
 
     header = ["row", "problem", "n", "d", "k", "z", "t", "trial", "status",
               "method", "cost_original", "cost_projected", "ratio",
               "completed", "failed", "median", "p5", "p95"]
     rows = []
-    failures = 0
-    for (ti, trial), res in zip(tasks, results):
-        status, method, cost_full, cost_proj, ratio = res
-        failures += status == "failed"
+    results = []        # (status, method, cost_original, cost_projected, ratio)
+    for (ti, trial), rep in zip(tasks, solved[trials:]):
+        cost_full = full[trial]
+        if rep is None:
+            res = ["failed", None, cost_full, None, None]
+        else:
+            res = ["ok", rep.method, cost_full, float(rep.cost),
+                   _safe_ratio(float(rep.cost), cost_full)]
+        results.append(res)
         rows.append(["record", problem, args.n, args.d, args.k, args.z,
-                     ts[ti], trial, status, method, cost_full, cost_proj,
-                     ratio, None, None, None, None, None])
+                     ts[ti], trial, *res, None, None, None, None, None])
+    failures = sum(r[0] == "failed" for r in results)
     for ti, t in enumerate(ts):
         ok = [r for r in results[ti * trials:(ti + 1) * trials] if r[0] == "ok"]
         ratios = [r[4] for r in ok if np.isfinite(r[4])]

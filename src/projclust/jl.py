@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from . import geometry
+from . import geometry, solvers
 from ._rng import rng_stream
 
 
@@ -79,8 +79,11 @@ def apply(pi, x):
 def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
     """Suggested projection dimension for a (problem, k, z, eps) regime.
 
-    The value is clamped to [1, d]; ``const`` rescales the lead constant.  A
-    k-flat is sized as the (k+1)-subspace of the points lifted by a constant.
+    The value is clamped to [1, d], and raised to at least
+    ``solvers._least_dimension`` (k + 1 for a subspace or flat, capped at d),
+    the least t at which the projected problem can be solved; ``const``
+    rescales the lead constant.  A k-flat is sized as the (k+1)-subspace of
+    the points lifted by a constant.
     ``eps`` and ``const`` must be finite and positive.
     """
     for name, v in (("eps", eps), ("const", const)):
@@ -113,8 +116,13 @@ def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
         x = (math.exp(min(math.log(const) + math.log(num) - p * math.log(eps), 709.0))
              if num > 0 else 0.0)
     t = int(d) if x >= d else max(1, math.ceil(x))
+    least = min(int(d), solvers._least_dimension(problem, k))
+    clamp = ""
+    if t < least:
+        clamp = f", clamped up from {t}: a projected k-{problem} needs t > k"
+        t = least
     if verbose:
-        print(f"preset t={t} from {formula} (const={const!r})")
+        print(f"preset t={t} from {formula} (const={const!r}){clamp}")
     return t
 
 

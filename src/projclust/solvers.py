@@ -563,6 +563,12 @@ def _lines_alternating(data, pts, w, k, z, restarts, seed):
     return _best_of_restarts("lines", data, z, restarts, fit, "alternating-multirestart")
 
 
+def _least_dimension(problem, k):
+    """The least dimension of the points at which ``solve`` fits a k-shape
+    of ``problem``: k + 1 for a subspace or flat, else 1."""
+    return k + 1 if problem in ("subspace", "flat") else 1
+
+
 def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
     """Solve ``problem`` on ``data``; the one public solver.
 
@@ -595,7 +601,7 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
         raise ValueError("seed must be non-negative")
     pts = geometry._points_of(data)
     w = data.weights if isinstance(data, WeightedSet) else np.ones(pts.shape[0])
-    if problem in ("subspace", "flat") and k >= pts.shape[1]:
+    if pts.shape[1] < _least_dimension(problem, k):
         raise ValueError(f"need 1 <= k < d (a full-dimensional {problem} is trivial)")
     if problem in ("subspace", "flat"):
         return _frame(problem, data, pts, w, k, z, restarts, seed)

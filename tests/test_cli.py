@@ -17,6 +17,15 @@ from projclust.cli import main, preset_t
 from _oracles import ref_preset_t
 
 
+def _env_with_src():
+    """This process's environment with the package's source first on the path."""
+    src = os.path.dirname(os.path.dirname(projclust.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -335,6 +344,81 @@ def test_preserve_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_preserve_failed_rows_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+    # a projected 3-subspace is refused at t = 2 and 3 and fits at t = 5; the
+    # full solves share the projected solves' task list
+    args = ["preserve", "--problem", "subspace", "--k", "3", "--t-list", "2,3,5",
+            "--trials", "3"]
+    outs = []
+    for name, threads in (("one.csv", "1"), ("three.csv", "3")):
+        path = tmp_path / name
+        monkeypatch.setenv("PROJCLUST_THREADS", threads)
+        assert main(args + ["--out", str(path)]) == 1
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    _, rows = read_csv(str(tmp_path / "one.csv"))
+    assert [(r[6], r[8]) for r in rows if r[0] == "record"] == (
+        [("2", "failed")] * 3 + [("3", "failed")] * 3 + [("5", "ok")] * 3)
+
+
+def test_preserve_refused_full_solve_exits_2(tmp_path, capsys):
+    # a 3-subspace of R^3 is refused by the full solve, which ends the run
+    out = tmp_path / "r.csv"
+    assert main(["preserve", "--problem", "subspace", "--n", "20", "--d", "3",
+                 "--k", "3", "--t-list", "2", "--trials", "2", "--out", str(out)]) == 2
+    assert "error: need 1 <= k < d" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _blas_name():
+    config = np.show_config(mode="dicts")
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or _usable_cores() < 2,
+                    reason="needs Linux's /proc/self/task and two usable cores")
+@pytest.mark.skipif("openblas" not in _blas_name(), reason="numpy's BLAS is not OpenBLAS")
+def test_preserve_byte_identical_across_blas_thread_counts(tmp_path):
+    # 2000 x 100 points against 5 centers is above OpenBLAS's threshold for
+    # threading a product; OpenBLAS starts its threads when numpy loads it,
+    # so the process's thread count before the run is OpenBLAS's
+    outs = []
+    for threads in ("1", "2"):
+        env = _env_with_src()
+        env["OPENBLAS_NUM_THREADS"] = threads
+        path = tmp_path / f"blas{threads}.csv"
+        args = ["preserve", "--problem", "clustering", "--n", "2000", "--d", "100",
+                "--k", "5", "--t-list", "10,40", "--trials", "1", "--restarts", "3",
+                "--out", str(path)]
+        code = ("import os, sys; from projclust.cli import main; "
+                "print(len(os.listdir('/proc/self/task'))); "
+                f"sys.exit(main({args!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == threads
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_pool_defaults_to_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("PROJCLUST_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._num_threads() == 1          # pinned to one core, as by taskset
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._num_threads() == 8          # a platform without affinity
+    monkeypatch.setenv("PROJCLUST_THREADS", "3")
+    assert cli._num_threads() == 3
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 
@@ -406,17 +490,40 @@ def test_preset_t_clamps_extreme_formulas_without_overflow():
             for eps in (1e-200, 5e-324):    # eps^p underflows to 0
                 assert preset_t(problem, 2, z, eps, 200, 100, const=5e-324) == 100
             assert preset_t(problem, 2, z, 0.3, 200, 100, const=1e308) == 100
-            assert preset_t(problem, 2, z, 1e200, 200, 100) == 1
-            assert preset_t(problem, 2, z, 0.3, 200, 100, const=5e-324) == 1
+            # the least solvable t: 1, or k + 1 = 3 for a subspace or flat
+            least = 3 if problem in ("subspace", "flat") else 1
+            assert preset_t(problem, 2, z, 1e200, 200, 100) == least
+            assert preset_t(problem, 2, z, 0.3, 200, 100, const=5e-324) == least
 
 
 def test_preset_t_keeps_the_plain_formula_on_a_grid(capsys):
+    # the plain formula, then the clamp of a subspace or flat to k + 1
+    clamped = 0
     for problem, k, z, eps, n, d, const in itertools.product(
             ("clustering", "subspace", "flat", "lines"), (1, 2, 5), (1, 1.5, 2, 3),
             (0.1, 0.3, 0.9), (2, 200), (10, 10 ** 5), (0.5, 1, 2)):
         want, formula = ref_preset_t(problem, k, z, eps, n, d, const)
+        note = ""
+        if problem in ("subspace", "flat") and want < min(d, k + 1):
+            note = f", clamped up from {want}: a projected k-{problem} needs t > k"
+            want = min(d, k + 1)
+            clamped += 1
         assert preset_t(problem, k, z, eps, n, d, const=const, verbose=True) == want
-        assert capsys.readouterr().out == f"preset t={want} from {formula} (const={const!r})\n"
+        assert (capsys.readouterr().out
+                == f"preset t={want} from {formula} (const={const!r}){note}\n")
+    assert clamped > 0
+
+
+def test_preserve_preset_clamped_to_a_solvable_t(tmp_path, capsys):
+    # the formula gives t = 1 here, where no 3-subspace can be fitted
+    out = tmp_path / "r.csv"
+    assert main(["preserve", "--problem", "subspace", "--n", "50", "--d", "20",
+                 "--k", "3", "--trials", "2", "--eps", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "preset t=4 from k / eps^2 (const=1.0), clamped up from 1: "
+        "a projected k-subspace needs t > k\n")
+    _, rows = read_csv(str(out))
+    assert [r[8] for r in rows if r[0] == "record"] == ["ok", "ok"]
 
 
 def test_preserve_refuses_an_infinite_const(tmp_path, capsys):
@@ -431,10 +538,7 @@ def test_preset_t_verbose_prints_formula(capsys):
 
 
 def test_module_entry_point_runs_without_runpy_warning():
-    src = os.path.dirname(os.path.dirname(projclust.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = _env_with_src()
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "projclust.cli", "--help"],
         env=env, capture_output=True, text=True, timeout=60)
@@ -442,12 +546,34 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert "usage: projclust" in proc.stdout
 
 
+def test_import_pins_openblas_to_one_thread():
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    show = (f"print(*(os.environ.get(v) for v in {blas_vars!r})); "
+            "print(len(os.listdir('/proc/self/task')) "
+            "if sys.platform.startswith('linux') else 1)")
+    env = _env_with_src()
+    for var in blas_vars:
+        env.pop(var, None)
+    for first, preset, want in (("projclust", None, "1 None None"),
+                                ("numpy", None, "None None None"),
+                                ("projclust", "2", "2 None None")):
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset     # a value the caller set wins
+        # imported after numpy, projclust leaves the variable alone: it
+        # would not change the threads of the BLAS already loaded
+        code = f"import os, sys, {first}, numpy, projclust; {show}"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        values, tasks = proc.stdout.splitlines()
+        assert values == want
+        if want == "1 None None":
+            assert tasks == "1"     # numpy loaded, and no BLAS worker thread
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package and its CLI run on numpy
-    src = os.path.dirname(os.path.dirname(projclust.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = _env_with_src()
     code = ("import sys, projclust, projclust.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -459,10 +585,7 @@ def test_import_loads_no_scipy():
 def test_summary_commands_load_no_numpy_ma(tmp_path):
     # np.median and np.percentile import numpy.ma on first use; the
     # commands' summaries take their arithmetic without it
-    src = os.path.dirname(os.path.dirname(projclust.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = _env_with_src()
     code = ("import sys; from projclust.cli import main; "
             "main(['gen', '--kind', 'points-near-k-flat', '--n', '60', '--d', '5', "
             "'--k', '2', '--seed', '1', '--out', 'pts.txt']); "
