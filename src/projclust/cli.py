@@ -183,16 +183,11 @@ def cmd_gen(args):
 
 
 def cmd_project(args):
+    if args.t is None and not args.identity:
+        raise ValueError("--t is required unless --identity is given")
     pts = read_points(args.infile)
     d = pts.shape[1]
-    if args.identity:
-        pi = jl.identity_map(d)
-    else:
-        if args.t is None:
-            print("project: --t is required unless --identity is given",
-                  file=sys.stderr)
-            return 2
-        pi = jl.sample_jl(d, args.t, args.seed)
+    pi = jl.identity_map(d) if args.identity else jl.sample_jl(d, args.t, args.seed)
     proj = jl.apply(pi, pts)
     write_points(args.out, proj, comments=[f"projected from d={d}"])
     if args.map_out:
@@ -265,8 +260,8 @@ def cmd_preserve(args):
     problem = args.problem
     if args.identity:
         ts = [args.d]
-    elif args.t_list:
-        ts = [int(s) for s in args.t_list.split(",") if s.strip()]
+    elif args.t_list is not None:
+        ts = args.t_list
     elif args.t is not None:
         ts = [args.t]
     else:
@@ -431,7 +426,7 @@ def _render_svg(path, ts, med, lo, hi, title):
 
 
 def _count(text):
-    """An argparse type for --m and --trials: an int of at least 1."""
+    """An argparse type for --m, --trials and --t-list entries: an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -439,6 +434,14 @@ def _count(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _dims(text):
+    """An argparse type for --t-list: comma-separated counts, at least one."""
+    dims = [_count(s) for s in text.split(",") if s.strip()]
+    if not dims:
+        raise argparse.ArgumentTypeError(f"no dimension in {text!r}")
+    return dims
 
 
 def _solver_options(g):
@@ -512,7 +515,7 @@ def build_parser():
     g.add_argument("--z", type=float, default=2.0)
     g.add_argument("--eps", type=float, default=0.3)
     g.add_argument("--t", type=int, help="single projection dimension")
-    g.add_argument("--t-list", help="comma-separated projection dimensions")
+    g.add_argument("--t-list", type=_dims, help="comma-separated projection dimensions")
     g.add_argument("--identity", action="store_true",
                    help="use the identity map at t = d (debug baseline)")
     g.add_argument("--const", type=float, default=1.0,

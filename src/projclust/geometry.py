@@ -324,6 +324,11 @@ def _sq_dists_to_lines(pts, lines):
 _SHAPE_TYPES = {"clustering": CenterSet, "subspace": Subspace, "flat": Flat, "lines": LineSet}
 
 
+def _least_dimension(problem, k):
+    """The least dimension of the points that fit a k-shape of ``problem``."""
+    return k + 1 if problem in ("subspace", "flat") else 1
+
+
 def _checked_points(problem, data, solution):
     """The (n, d) points of ``data``, once ``solution`` is checked to be the
     shape type ``problem`` expects, in the same dimension d."""

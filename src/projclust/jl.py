@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from . import geometry, solvers
+from . import geometry
 from ._rng import rng_stream
 
 
@@ -80,7 +80,7 @@ def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
     """Suggested projection dimension for a (problem, k, z, eps) regime.
 
     The value is clamped to [1, d], and raised to at least
-    ``solvers._least_dimension`` (k + 1 for a subspace or flat, capped at d),
+    ``geometry._least_dimension`` (k + 1 for a subspace or flat, capped at d),
     the least t at which the projected problem can be solved; ``const``
     rescales the lead constant.  A k-flat is sized as the (k+1)-subspace of
     the points lifted by a constant.
@@ -116,7 +116,7 @@ def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
         x = (math.exp(min(math.log(const) + math.log(num) - p * math.log(eps), 709.0))
              if num > 0 else 0.0)
     t = int(d) if x >= d else max(1, math.ceil(x))
-    least = min(int(d), solvers._least_dimension(problem, k))
+    least = min(int(d), geometry._least_dimension(problem, k))
     clamp = ""
     if t < least:
         clamp = f", clamped up from {t}: a projected k-{problem} needs t > k"

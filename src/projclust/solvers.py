@@ -499,74 +499,51 @@ def _frame(problem, data, pts, w, k, z, restarts, seed):
 # Lines
 
 
-def _fit_line(pts, w, fallback_dir):
-    """Weighted least-squares line through a group (exact for z = 2)."""
-    if pts.shape[0] == 1:
-        return Line.canonical(pts[0], fallback_dir)
+def _fit_line(pts, w, fallback_dir=None):
+    """The weighted least-squares line through the rows (exact for z = 2).
+
+    One or two rows give the line through them, their least-squares line at
+    any weights, or the one along ``fallback_dir`` (e_0 when None) if they
+    coincide.  Three or more give the line through their weighted mean along
+    the top eigenvector of the d x d weighted scatter, without an (n, d) SVD.
+    """
+    if fallback_dir is None:
+        fallback_dir = np.eye(1, pts.shape[1])[0]
+    if pts.shape[0] <= 2:       # distinct floats never subtract to 0
+        step = pts[-1] - pts[0]
+        return Line.canonical(pts[0], step if step.any() else fallback_dir)
     centroid = np.average(pts, axis=0, weights=w)
     c = pts - centroid
-    # The top eigenvector of the d x d weighted scatter is the top right
-    # singular vector of the sqrt-weighted centered group, without an
-    # (n, d) SVD.
     evals, evecs = np.linalg.eigh((c.T * w) @ c)
-    direction = evecs[:, -1] if evals[-1] > 0 else fallback_dir
-    return Line.canonical(centroid, direction)
-
-
-def _default_dir(d):
-    e = np.zeros(d)
-    e[0] = 1.0
-    return e
-
-
-def _line_through(p, q, fallback_dir):
-    """The line through p and q, or the one along ``fallback_dir`` if p == q."""
-    if np.array_equal(p, q):
-        return Line.canonical(p, fallback_dir)
-    return Line.through(p, q)
+    return Line.canonical(centroid, evecs[:, -1] if evals[-1] > 0 else fallback_dir)
 
 
 def _lines_exact(data, pts, w, k, z):
-    """Optimal k lines for z = 2: :func:`_enumerate` with the exact
-    least-squares line per block (other powers have no closed-form fit)."""
+    """Optimal k lines for z = 2: :func:`_enumerate` with :func:`_fit_line`
+    per block (other powers have no closed-form fit)."""
     if z != 2.0:
         raise ValueError("exact line solving is available for z = 2 only")
-    fallback = _default_dir(pts.shape[1])
-
-    def fit(idx):
-        if len(idx) > 2:
-            return _fit_line(pts[idx], w[idx], fallback)
-        return _line_through(pts[idx[0]], pts[idx[-1]], fallback)
-
-    return _enumerate("lines", data, pts, w, k, z, fit)
+    return _enumerate("lines", data, pts, w, k, z, lambda idx: _fit_line(pts[idx], w[idx]))
 
 
 def _lines_alternating(data, pts, w, k, z, restarts, seed):
     """Alternating assign/refit search for k lines with random restarts.
 
-    Refits use the least-squares line per group (exact for z = 2, a
-    reasonable surrogate otherwise); empty groups are re-seeded at the
-    worst-served point.
+    Restart r seeds each line through two rows drawn from stream r of
+    ``seed``.  Seeds and refits are :func:`_fit_line`'s least-squares lines
+    (exact for z = 2, a reasonable surrogate otherwise); empty groups are
+    re-seeded at the worst-served point.
     """
-    n, d = pts.shape
-    fallback = _default_dir(d)
-
     def fit(r):
-        idx = rng_stream(seed, r).choice(n, size=(k, 2), replace=True)
+        idx = rng_stream(seed, r).choice(pts.shape[0], size=(k, 2), replace=True)
         lines, converged, sq = _alternate(
-            pts, w, [_line_through(pts[a], pts[b], fallback) for a, b in idx],
+            pts, w, [_fit_line(pts[pair], np.ones(2)) for pair in idx],
             geometry._sq_dists_to_lines,
             lambda gp, gw, ln: _fit_line(gp, gw, ln.direction),
             lambda far, ln: Line.canonical(far, ln.direction))
         return LineSet(lines), converged, sq
 
     return _best_of_restarts("lines", data, z, restarts, fit, "alternating-multirestart")
-
-
-def _least_dimension(problem, k):
-    """The least dimension of the points at which ``solve`` fits a k-shape
-    of ``problem``: k + 1 for a subspace or flat, else 1."""
-    return k + 1 if problem in ("subspace", "flat") else 1
 
 
 def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
@@ -601,7 +578,7 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
         raise ValueError("seed must be non-negative")
     pts = geometry._points_of(data)
     w = data.weights if isinstance(data, WeightedSet) else np.ones(pts.shape[0])
-    if pts.shape[1] < _least_dimension(problem, k):
+    if pts.shape[1] < geometry._least_dimension(problem, k):
         raise ValueError(f"need 1 <= k < d (a full-dimensional {problem} is trivial)")
     if problem in ("subspace", "flat"):
         return _frame(problem, data, pts, w, k, z, restarts, seed)

@@ -26,7 +26,9 @@ round (:func:`ref_alternate`), and a ``cost_pow`` pass per restart.
 The exact references :func:`ref_clustering_exact` and
 :func:`ref_lines_exact` are the two partition enumerators as separate
 bodies, each with its own cap, shortcut and fit pass, calling the checked
-``opt_center``.
+``opt_center``.  The lines references build seed lines and blocks of one
+or two rows with :func:`_line_through`, along :func:`_default_dir` where
+the rows coincide.
 
 :func:`ref_recurse_1d` is the 1-d coreset recursion that also takes a
 k - 1 pass over the bigger-gap side.
@@ -60,7 +62,7 @@ from projclust.geometry import Flat, Subspace, project_flat, project_line, proje
 from projclust.sensitivity import SensitivityProfile, sup_ratios
 from projclust.solvers import (
     EXACT_CLUSTERING_MAX_N, EXACT_LINES_MAX_N, SolveReport, _best_of_restarts,
-    _best_partition, _center, _default_dir, _fit_line, _irls, _line_through, _report,
+    _best_partition, _center, _fit_line, _irls, _report,
     _subspace_cost, _weighted_pca_basis, opt_center,
 )
 
@@ -249,6 +251,19 @@ def ref_lloyd(data, k, z, restarts, seed):
         return CenterSet(np.vstack(centers)), converged
 
     return _ref_best_of_restarts("clustering", data, z, restarts, fit)
+
+
+def _default_dir(d):
+    e = np.zeros(d)
+    e[0] = 1.0
+    return e
+
+
+def _line_through(p, q, fallback_dir):
+    """The line through p and q, or the one along ``fallback_dir`` if p == q."""
+    if np.array_equal(p, q):
+        return Line.canonical(p, fallback_dir)
+    return Line.through(p, q)
 
 
 def ref_lines_alternating(data, k, z, restarts, seed):

@@ -92,7 +92,7 @@ def test_project_shapes_and_map_out(tmp_path):
                         atol=1e-12)
 
 
-def test_project_identity_and_missing_t(tmp_path):
+def test_project_identity_and_missing_t(tmp_path, capsys):
     src, dst = tmp_path / "s.txt", tmp_path / "p.txt"
     main(["gen", "--kind", "gaussian-mixture", "--n", "8", "--d", "4",
           "--out", str(src)])
@@ -100,7 +100,9 @@ def test_project_identity_and_missing_t(tmp_path):
                  "--out", str(dst)]) == 0
     npt.assert_array_equal(geometry.read_points(str(dst)),
                            geometry.read_points(str(src)))
+    capsys.readouterr()
     assert main(["project", "--in", str(src), "--out", str(dst)]) == 2
+    assert "error: --t is required unless --identity is given" in capsys.readouterr().err
 
 
 def test_solve_command_two_pairs(tmp_path, capsys):
@@ -290,6 +292,25 @@ def test_preserve_rejects_t_above_d(tmp_path, capsys):
                  "--d", "5", "--k", "2", "--t-list", "3,9", "--trials", "2",
                  "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_list,message", [
+    (",", "no dimension in ','"), ("", "no dimension in ''"), ("3,x", "invalid int value: 'x'"),
+])
+def test_preserve_refuses_empty_or_malformed_t_list_before_any_work(
+        tmp_path, capsys, monkeypatch, t_list, message):
+    out = tmp_path / "e.csv"
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("generated data before refusing --t-list")
+
+    monkeypatch.setitem(cli._INSTANCE_FOR_PROBLEM, "clustering", no_data)
+    with pytest.raises(SystemExit) as exc:
+        main(["preserve", "--problem", "clustering", "--n", "30", "--d", "5",
+              "--k", "2", "--t-list", t_list, "--trials", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"error: argument --t-list: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_preserve_preset_dimension_printed(tmp_path, capsys):

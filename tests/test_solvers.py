@@ -13,12 +13,12 @@ from projclust import geometry, solvers
 from projclust.geometry import Dataset, WeightedSet, CenterSet, Subspace, Flat, Line, LineSet
 from projclust.solvers import (
     SolveReport, opt_center, solve,
-    _best_partition, _descent, _dz_seed, _irls, _subspace_cost, _fit_line, _default_dir,
+    _best_partition, _descent, _dz_seed, _irls, _subspace_cost, _fit_line,
 )
 
 from _oracles import (
-    ref_clustering_exact, ref_descent_center, ref_dz_seed, ref_flat, ref_grassmann_descent,
-    ref_lines_alternating, ref_lines_exact, ref_lloyd, ref_subspace,
+    _default_dir, ref_clustering_exact, ref_descent_center, ref_dz_seed, ref_flat,
+    ref_grassmann_descent, ref_lines_alternating, ref_lines_exact, ref_lloyd, ref_subspace,
 )
 
 
@@ -928,6 +928,43 @@ def test_fit_line_of_identical_points_takes_fallback():
     fallback = np.array([0.0, -0.6, 0.8])
     got = _fit_line(pts, np.array([1.0, 2.0, 3.0, 2.0]), fallback)
     assert got == Line.canonical(pts[0], fallback)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6),
+       w=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2), given_dir=st.booleans())
+def test_fit_line_of_one_or_two_rows_is_the_line_through_them(seed, d, w, given_dir):
+    rng = np.random.default_rng(seed)
+    p, q = rng.normal(size=(2, d)) * rng.uniform(1e-3, 1e3)
+    w = np.array(w)
+    fallback = rng.normal(size=d) if given_dir else None
+    along = Line.canonical(p, fallback if given_dir else np.eye(1, d)[0])
+    got, want = _fit_line(np.vstack([p, q]), w, fallback), Line.through(p, q)
+    assert got.anchor.tobytes() == want.anchor.tobytes()
+    assert got.direction.tobytes() == want.direction.tobytes()
+    assert _fit_line(np.vstack([p, p]), w, fallback) == along
+    assert _fit_line(p[None], w[:1], fallback) == along
+
+
+@pytest.mark.parametrize("pair_w", [(2.0, 0.5), (1.0, 0.0)])
+def test_lines_refit_of_two_rows_passes_through_both(pair_w):
+    # ten rows on the x-axis and a pair far above it that forms its own group
+    pts = np.vstack([np.c_[np.arange(10.0), np.zeros(10)], [[0.0, 50.0], [3.0, 60.0]]])
+    w = np.r_[np.ones(10), pair_w]
+    pair = pts[10:]
+    refits = []
+
+    def spy(gp, gw, fallback_dir=None):
+        if np.array_equal(gp, pair) and np.array_equal(gw, pair_w):
+            refits.append(gp.copy())
+        return _fit_line(gp, gw, fallback_dir)
+
+    with mock.patch.object(solvers, "_fit_line", spy):
+        rep = solve("lines", WeightedSet(pts, w), 2, 2, restarts=5, method="heuristic")
+    assert refits and rep.converged
+    res = [np.linalg.norm(pair - geometry.project_line(pair, ln), axis=1)
+           for ln in rep.solution.lines]
+    assert any(np.all(r <= 1e-12 * np.linalg.norm(pair, axis=1)) for r in res)
 
 
 def test_lines_exact_square_corners():
