@@ -6,7 +6,9 @@ overrides the count), and OpenBLAS runs on one thread unless the caller sets
 OPENBLAS_NUM_THREADS (see the package's ``__init__``).  Every experiment is
 deterministic given its --seed: work items draw from per-index generator
 streams, and the pool never changes the output ordering, so result files are
-byte-identical across runs and pool sizes.
+byte-identical across runs and pool sizes.  ``coreset`` and ``preserve`` share
+``_target_dims`` (t by one rule, each in [1, d]), ``_trial_map`` (maps from the
+streams past --trials) and ``_or_failed`` (a refused trial is a ``failed`` row).
 """
 
 import argparse
@@ -63,6 +65,37 @@ def _solve(args, data):
                          method=args.method)
 
 
+def _target_dims(args, n, d):
+    if args.identity:
+        if args.t is not None or args.t_list is not None:
+            raise ValueError("--identity projects to t = d; drop --t and --t-list")
+        ts = [d]
+    elif args.t_list is not None:
+        ts = args.t_list
+    elif args.t is not None:
+        ts = [args.t]
+    else:
+        ts = [preset_t(args.problem, args.k, args.z, args.eps, n, d,
+                       const=args.const, verbose=True)]
+    for t in ts:
+        if not 1 <= t <= d:
+            raise ValueError(f"need 1 <= t <= d, got t={t} with d={d}")
+    return ts
+
+
+def _trial_map(args, d, t, stream):
+    if args.identity:
+        return jl.identity_map(d)
+    return jl.sample_jl(d, t, args.seed, stream=stream)
+
+
+def _or_failed(stage, *stage_args):
+    try:
+        return stage(*stage_args)
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+
+
 def _safe_ratio(num, den):
     if den > 0.0:
         return num / den
@@ -97,14 +130,20 @@ def make_gaussian_mixture(n, d, k, noise, rng):
     return Dataset(centers[labels] + rng.normal(0.0, noise, (n, d)))
 
 
+def _random_basis(k, d, rng):
+    if k > d:
+        raise ValueError(f"need k <= d, got k={k} with d={d}")
+    return geometry._orthonormal_rows(rng.normal(size=(k, d)))
+
+
 def make_near_subspace(n, d, k, noise, rng):
-    basis = geometry._orthonormal_rows(rng.normal(size=(k, d)))
+    basis = _random_basis(k, d, rng)
     coeffs = rng.normal(0.0, 3.0, (n, k))
     return Dataset(coeffs @ basis + rng.normal(0.0, noise, (n, d)))
 
 
 def make_near_flat(n, d, k, noise, rng):
-    basis = geometry._orthonormal_rows(rng.normal(size=(k, d)))
+    basis = _random_basis(k, d, rng)
     coeffs = rng.normal(0.0, 3.0, (n, k))
     shift = rng.normal(0.0, 3.0, d)
     return Dataset(coeffs @ basis + shift + rng.normal(0.0, noise, (n, d)))
@@ -187,7 +226,7 @@ def cmd_project(args):
         raise ValueError("--t is required unless --identity is given")
     pts = read_points(args.infile)
     d = pts.shape[1]
-    pi = jl.identity_map(d) if args.identity else jl.sample_jl(d, args.t, args.seed)
+    pi = _trial_map(args, d, args.t, 0)
     proj = jl.apply(pi, pts)
     write_points(args.out, proj, comments=[f"projected from d={d}"])
     if args.map_out:
@@ -212,34 +251,25 @@ def cmd_coreset(args):
     """Weak-coreset quality: solver optimum on the sample vs the full data,
     measured in the original space and again after a random projection."""
     data = read_dataset(args.infile)
-    n, d = data.n, data.d
-    t = args.t
-    if t is None:
-        t = preset_t(args.problem, args.k, args.z, args.eps, n, d,
-                     const=args.const, verbose=True)
-    if not 1 <= t <= d:
-        raise ValueError(f"need 1 <= t <= d, got t={t} with d={d}")
+    t, = _target_dims(args, data.n, data.d)
     rep_full = _solve(args, data)
     cost_full = float(rep_full.cost)
     prof = _profile_for(args.problem, data, rep_full.solution, args.z)
-    trials = args.trials
 
     def probe(trial):
-        try:
-            cs = coreset_mod.sensitivity_sample(data, prof, args.m, args.seed,
-                                                stream=trial)
-            ws = cs.extract(data)
-            rep_cs = _solve(args, ws)
-            pi = jl.sample_jl(d, t, args.seed, stream=trials + trial)
-            rep_pf = _solve(args, jl.apply(pi, data))
-            rep_pc = _solve(args, jl.apply(pi, ws))
-        except (ValueError, np.linalg.LinAlgError):
-            return [args.m, trial, "failed", cost_full, None, None, None]
+        ws = coreset_mod.sensitivity_sample(data, prof, args.m, args.seed,
+                                            stream=trial).extract(data)
+        rep_cs = _solve(args, ws)
+        pi = _trial_map(args, data.d, t, args.trials + trial)
+        rep_pf = _solve(args, jl.apply(pi, data))
+        rep_pc = _solve(args, jl.apply(pi, ws))
         return [args.m, trial, "ok", cost_full, float(rep_cs.cost),
                 _safe_ratio(float(rep_cs.cost), cost_full),
                 _safe_ratio(float(rep_pc.cost), float(rep_pf.cost))]
 
-    rows = _run_tasks(probe, list(range(trials)))
+    probed = _run_tasks(lambda trial: _or_failed(probe, trial), list(range(args.trials)))
+    rows = [row or [args.m, trial, "failed", cost_full, None, None, None]
+            for trial, row in enumerate(probed)]
     _write_csv(args.out, ["m", "trial", "status", "cost_full", "cost_coreset",
                           "ratio_before_projection", "ratio_after_projection"],
                rows)
@@ -247,78 +277,54 @@ def cmd_coreset(args):
     if ok:
         before = _quantiles([r[5] for r in ok])[0]
         after = _quantiles([r[6] for r in ok])[0]
-        print(f"coreset m={args.m} of n={n}, t={t}: median ratio "
+        print(f"coreset m={args.m} of n={data.n}, t={t}: median ratio "
               f"{_fmt(before)} before projection, {_fmt(after)} after "
-              f"({len(ok)}/{trials} trials ok)")
+              f"({len(ok)}/{args.trials} trials ok)")
     else:
-        print(f"coreset m={args.m} of n={n}, t={t}: all trials failed")
-    return 0 if len(ok) == trials else 1
+        print(f"coreset m={args.m} of n={data.n}, t={t}: all trials failed")
+    return 0 if len(ok) == args.trials else 1
 
 
 def cmd_preserve(args):
     """Ratio of the solver optimum after projection to the optimum before."""
-    problem = args.problem
-    if args.identity:
-        ts = [args.d]
-    elif args.t_list is not None:
-        ts = args.t_list
-    elif args.t is not None:
-        ts = [args.t]
-    else:
-        ts = [preset_t(problem, args.k, args.z, args.eps, args.n, args.d,
-                       const=args.const, verbose=True)]
-    if any(not 1 <= t <= args.d for t in ts):
-        raise ValueError(f"need 1 <= t <= d for every t in {ts} with d={args.d}")
+    ts = _target_dims(args, args.n, args.d)
     trials = args.trials
-    make = _INSTANCE_FOR_PROBLEM[problem]
+    make = _INSTANCE_FOR_PROBLEM[args.problem]
     datasets = _run_tasks(
         lambda trial: make(args.n, args.d, args.k, 1.0, rng_stream(args.seed, trial)),
         list(range(trials)))
 
-    def solve_task(task):
-        """The full solve of a trial (ti is None; a refusal ends the run) or
-        its projection to ts[ti], which is None when refused."""
-        ti, trial = task
-        data = datasets[trial]
-        if ti is None:
+    def solve_task(j):
+        """Task j < trials is trial j's full solve; task j >= trials projects
+        trial j % trials to ts[j // trials - 1] by the map of stream j."""
+        data = datasets[j % trials]
+        if j < trials:
             return float(_solve(args, data).cost)
-        try:
-            if args.identity:
-                pi = jl.identity_map(args.d)
-            else:
-                pi = jl.sample_jl(args.d, ts[ti], args.seed,
-                                  stream=trials + ti * trials + trial)
-            return _solve(args, jl.apply(pi, data))
-        except (ValueError, np.linalg.LinAlgError):
-            return None
+        pi = _trial_map(args, args.d, ts[j // trials - 1], j)
+        return _or_failed(_solve, args, jl.apply(pi, data))
 
     # one task list, the larger full solves first, so that the pool is the
     # only level of parallelism and no core idles while they run
-    tasks = [(ti, trial) for ti in range(len(ts)) for trial in range(trials)]
-    solved = _run_tasks(solve_task, [(None, trial) for trial in range(trials)] + tasks)
-    full = solved[:trials]
+    solved = _run_tasks(solve_task, list(range((1 + len(ts)) * trials)))
 
     header = ["row", "problem", "n", "d", "k", "z", "t", "trial", "status",
               "method", "cost_original", "cost_projected", "ratio",
               "completed", "failed", "median", "p5", "p95"]
     rows = []
-    results = []        # (status, method, cost_original, cost_projected, ratio)
-    for (ti, trial), rep in zip(tasks, solved[trials:]):
-        cost_full = full[trial]
+    for j, rep in enumerate(solved[trials:], start=trials):
+        cost_full = solved[j % trials]
         if rep is None:
             res = ["failed", None, cost_full, None, None]
         else:
             res = ["ok", rep.method, cost_full, float(rep.cost),
                    _safe_ratio(float(rep.cost), cost_full)]
-        results.append(res)
-        rows.append(["record", problem, args.n, args.d, args.k, args.z,
-                     ts[ti], trial, *res, None, None, None, None, None])
-    failures = sum(r[0] == "failed" for r in results)
+        rows.append(["record", args.problem, args.n, args.d, args.k, args.z,
+                     ts[j // trials - 1], j % trials, *res, None, None, None, None, None])
     for ti, t in enumerate(ts):
-        ok = [r for r in results[ti * trials:(ti + 1) * trials] if r[0] == "ok"]
-        ratios = [r[4] for r in ok if np.isfinite(r[4])]
+        ok = [r for r in rows[ti * trials:(ti + 1) * trials] if r[8] == "ok"]
+        ratios = [r[12] for r in ok if np.isfinite(r[12])]
         med, p5, p95 = _quantiles(ratios) if ratios else (None, None, None)
-        rows.append(["summary", problem, args.n, args.d, args.k, args.z,
+        rows.append(["summary", args.problem, args.n, args.d, args.k, args.z,
                      t, None, None, None, None, None, None,
                      len(ok), trials - len(ok), med, p5, p95])
         print(f"t={t} ok={len(ok)}/{trials} median={_fmt(med)} "
@@ -331,8 +337,8 @@ def cmd_preserve(args):
                     [r[15] for r in summary],
                     [r[16] for r in summary],
                     [r[17] for r in summary],
-                    f"{problem}: cost ratio vs projection dimension")
-    return 0 if failures == 0 else 1
+                    f"{args.problem}: cost ratio vs projection dimension")
+    return 1 if any(r[8] == "failed" for r in rows) else 0
 
 
 def cmd_counterexample(args):
@@ -426,7 +432,7 @@ def _render_svg(path, ts, med, lo, hi, title):
 
 
 def _count(text):
-    """An argparse type for --m, --trials and --t-list entries: an int >= 1."""
+    """An argparse type for --k, --m, --trials and --t-list entries: an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -462,7 +468,7 @@ def build_parser():
                    choices=[*_SYNTHETIC, "medoid", "css"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, default=2)
-    g.add_argument("--k", type=int, default=3)
+    g.add_argument("--k", type=_count, default=3)
     g.add_argument("--noise", type=float, default=1.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -481,7 +487,7 @@ def build_parser():
     g = sub.add_parser("solve", help="fit centers, a subspace, a flat, or lines")
     g.add_argument("--in", dest="infile", required=True)
     g.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    g.add_argument("--k", type=int, required=True)
+    g.add_argument("--k", type=_count, required=True)
     g.add_argument("--z", type=float, default=2.0)
     _solver_options(g)
     g.add_argument("--out", help="write the fitted solution to this file")
@@ -491,7 +497,7 @@ def build_parser():
                        help="sensitivity-sample a coreset and probe its quality")
     g.add_argument("--in", dest="infile", required=True)
     g.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    g.add_argument("--k", type=int, required=True)
+    g.add_argument("--k", type=_count, required=True)
     g.add_argument("--z", type=float, default=2.0)
     g.add_argument("--m", type=_count, required=True, help="coreset size")
     g.add_argument("--t", type=int,
@@ -504,14 +510,14 @@ def build_parser():
                    help="number of independent coreset draws")
     _solver_options(g)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_coreset)
+    g.set_defaults(func=cmd_coreset, t_list=None, identity=False)
 
     g = sub.add_parser("preserve",
                        help="measure how projection changes the optimal cost")
     g.add_argument("--problem", required=True, choices=list(PROBLEMS))
     g.add_argument("--n", type=int, default=200)
     g.add_argument("--d", type=int, default=100)
-    g.add_argument("--k", type=int, default=2)
+    g.add_argument("--k", type=_count, default=2)
     g.add_argument("--z", type=float, default=2.0)
     g.add_argument("--eps", type=float, default=0.3)
     g.add_argument("--t", type=int, help="single projection dimension")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import projclust
-from projclust import cli, geometry, jl, solvers
+from projclust import cli, coreset, geometry, jl, sensitivity, solvers
+from projclust._rng import rng_stream
 from projclust.cli import main, preset_t
 
 from _oracles import ref_preset_t
@@ -38,7 +39,8 @@ def read_csv(path):
 
 @pytest.mark.parametrize("kind,d", [("gaussian-mixture", 4),
                                     ("points-near-k-lines", 3),
-                                    ("points-near-k-flat", 5)])
+                                    ("points-near-k-flat", 5),
+                                    ("points-near-k-flat", 2)])      # k = d
 def test_gen_synthetic_kinds(tmp_path, kind, d):
     out = tmp_path / "pts.txt"
     assert main(["gen", "--kind", kind, "--n", "25", "--d", str(d),
@@ -59,6 +61,28 @@ def test_gen_invalid_params_exit_code(tmp_path, capsys):
     out = tmp_path / "m.txt"
     assert main(["gen", "--kind", "medoid", "--n", "1", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name}) before refusing")
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--kind", "points-near-k-flat", "--n", "20", "--d", "3", "--k", "5"],
+    ["preserve", "--problem", "flat", "--d", "3", "--k", "5", "--t", "2"],
+    ["preserve", "--problem", "subspace", "--d", "3", "--k", "4", "--t", "2"],
+])
+def test_subspace_and_flat_generators_refuse_k_above_d(tmp_path, capsys, monkeypatch,
+                                                        command):
+    out = tmp_path / "out.txt"
+    monkeypatch.setattr(cli, "rng_stream", lambda *args, **kwargs: _NoDraws())
+    assert main(command + ["--out", str(out)]) == 2
+    k = command[command.index("--k") + 1]
+    assert f"error: need k <= d, got k={k} with d=3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_noiseless_lines_solve_to_zero(tmp_path):
@@ -214,6 +238,11 @@ def test_coreset_flat_z1_byte_identical_across_thread_counts(tmp_path, monkeypat
     (["preserve", "--problem", "clustering", "--n", "10", "--d", "3"], "--trials", "0"),
     (["counterexample", "--n", "10"], "--trials", "0"),
     (["counterexample", "--n", "10"], "--trials", "-1"),
+    (["gen", "--kind", "gaussian-mixture", "--n", "10"], "--k", "0"),
+    (["gen", "--kind", "points-near-k-flat", "--n", "10"], "--k", "0"),
+    (["solve", "--problem", "flat"], "--k", "0"),
+    (["coreset", "--problem", "clustering", "--m", "5"], "--k", "0"),
+    (["preserve", "--problem", "clustering", "--t", "3"], "--k", "0"),
 ])
 def test_counts_below_one_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                        command, flag, value):
@@ -226,7 +255,7 @@ def test_counts_below_one_are_refused_before_any_work(tmp_path, capsys, monkeypa
         raise AssertionError("solved before refusing the count")
 
     monkeypatch.setattr(solvers, "solve", no_solve)
-    if command[0] == "coreset":
+    if command[0] in ("coreset", "solve"):
         command = command + ["--in", str(src)]
     with pytest.raises(SystemExit) as exc:
         main(command + [flag, value, "--out", str(out)])
@@ -247,6 +276,66 @@ def test_coreset_clustering_fractional_z_does_not_warn(tmp_path, monkeypatch):
         assert main(["coreset", "--in", str(src), "--problem", "clustering",
                      "--k", "2", "--z", "1.3", "--m", "8", "--t", "2",
                      "--trials", "3", "--out", str(out)]) == 0
+
+
+def _flat_input(tmp_path):
+    src = tmp_path / "flat.txt"
+    main(["gen", "--kind", "points-near-k-flat", "--n", "30", "--d", "5",
+          "--k", "2", "--noise", "0.1", "--seed", "1", "--out", str(src)])
+    return src
+
+
+def test_coreset_failed_trials_keep_the_full_cost(tmp_path, capsys):
+    # a 2-subspace fits in R^5 but not in the projected R^2
+    src, out = _flat_input(tmp_path), tmp_path / "q.csv"
+    capsys.readouterr()
+    assert main(["coreset", "--in", str(src), "--problem", "subspace", "--k", "2",
+                 "--m", "10", "--t", "2", "--trials", "3", "--out", str(out)]) == 1
+    assert "all trials failed" in capsys.readouterr().out
+    full = solvers.solve("subspace", geometry.read_dataset(str(src)), 2, 2.0,
+                         restarts=20, seed=0, method="auto")
+    _, rows = read_csv(str(out))
+    assert rows == [["10", str(trial), "failed", repr(float(full.cost)), "", "", ""]
+                    for trial in range(3)]
+
+
+def test_coreset_refuses_t_above_d_before_any_solve(tmp_path, capsys, monkeypatch):
+    src, out = _flat_input(tmp_path), tmp_path / "q.csv"
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing t")
+
+    monkeypatch.setattr(solvers, "solve", no_solve)
+    assert main(["coreset", "--in", str(src), "--problem", "flat", "--k", "2",
+                 "--m", "10", "--t", "9", "--trials", "2", "--out", str(out)]) == 2
+    assert "error: need 1 <= t <= d, got t=9 with d=5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coreset_row_rebuilt_from_library_calls(tmp_path):
+    # trial i samples from stream i and projects the data and the sample by
+    # the one map of stream trials + i
+    src, out = _flat_input(tmp_path), tmp_path / "q.csv"
+    m, t, trials, seed, i = 12, 3, 3, 7, 2
+    assert main(["coreset", "--in", str(src), "--problem", "flat", "--k", "1",
+                 "--m", str(m), "--t", str(t), "--trials", str(trials),
+                 "--restarts", "4", "--seed", str(seed), "--out", str(out)]) == 0
+
+    def cost(data):
+        return float(solvers.solve("flat", data, 1, 2.0, restarts=4, seed=seed,
+                                   method="auto").cost)
+
+    data = geometry.read_dataset(str(src))
+    full = solvers.solve("flat", data, 1, 2.0, restarts=4, seed=seed, method="auto")
+    prof = sensitivity.flat_sensitivity(data, full.solution, 2.0)
+    ws = coreset.sensitivity_sample(data, prof, m, seed, stream=i).extract(data)
+    pi = jl.sample_jl(data.d, t, seed, stream=trials + i)
+    cost_full, cost_cs = float(full.cost), cost(ws)
+    want = [m, i, "ok", cost_full, cost_cs, cost_cs / cost_full,
+            cost(jl.apply(pi, ws)) / cost(jl.apply(pi, data))]
+    _, rows = read_csv(str(out))
+    assert rows[i] == [geometry._fmt(v) for v in want]
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +375,50 @@ def test_preserve_identity_map_is_exact(tmp_path):
     assert all(float(r[12]) == 1.0 for r in records)
 
 
+def test_preserve_record_rebuilt_from_library_calls(tmp_path):
+    # trial i draws its data from stream i, and its projection to ts[ti] uses
+    # the map of stream (1 + ti) * trials + i
+    out = tmp_path / "r.csv"
+    n, d, ts, trials, seed, ti, i = 30, 8, [3, 5], 3, 4, 1, 2
+    assert main(["preserve", "--problem", "clustering", "--n", str(n), "--d", str(d),
+                 "--k", "2", "--t-list", "3,5", "--trials", str(trials),
+                 "--restarts", "3", "--seed", str(seed), "--out", str(out)]) == 0
+
+    def solve(data):
+        return solvers.solve("clustering", data, 2, 2.0, restarts=3, seed=seed,
+                             method="auto")
+
+    data = cli.make_gaussian_mixture(n, d, 2, 1.0, rng_stream(seed, i))
+    pi = jl.sample_jl(d, ts[ti], seed, stream=(1 + ti) * trials + i)
+    full, proj = float(solve(data).cost), solve(jl.apply(pi, data))
+    want = ["record", "clustering", n, d, 2, 2.0, ts[ti], i, "ok", proj.method,
+            full, float(proj.cost), float(proj.cost) / full] + [None] * 5
+    _, rows = read_csv(str(out))
+    assert rows[ti * trials + i] == [geometry._fmt(v) for v in want]
+
+
+@pytest.mark.parametrize("extra", [["--t", "3"], ["--t-list", "2,3"]])
+def test_preserve_refuses_identity_with_a_dimension(tmp_path, capsys, monkeypatch,
+                                                     extra):
+    out = tmp_path / "r.csv"
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("generated data before refusing --identity")
+
+    monkeypatch.setitem(cli._INSTANCE_FOR_PROBLEM, "clustering", no_data)
+    assert main(["preserve", "--problem", "clustering", "--n", "20", "--d", "5",
+                 "--identity", *extra, "--out", str(out)]) == 2
+    assert "error: --identity projects to t = d" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preserve_rejects_t_above_d(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(["preserve", "--problem", "clustering", "--n", "10",
                  "--d", "5", "--k", "2", "--t-list", "3,9", "--trials", "2",
                  "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: need 1 <= t <= d, got t=9 with d=5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("t_list,message", [
