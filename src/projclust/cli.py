@@ -432,7 +432,8 @@ def _render_svg(path, ts, med, lo, hi, title):
 
 
 def _count(text):
-    """An argparse type for --k, --m, --trials and --t-list entries: an int >= 1."""
+    """An argparse type for counts (--n, --d, --k, --m, --trials, and --t of
+    counterexample and the --t-list entries): an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -466,8 +467,8 @@ def build_parser():
     g = sub.add_parser("gen", help="generate a synthetic point set")
     g.add_argument("--kind", required=True,
                    choices=[*_SYNTHETIC, "medoid", "css"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--d", type=int, default=2)
+    g.add_argument("--n", type=_count, required=True)
+    g.add_argument("--d", type=_count, default=2)
     g.add_argument("--k", type=_count, default=3)
     g.add_argument("--noise", type=float, default=1.0)
     g.add_argument("--seed", type=int, default=0)
@@ -515,8 +516,8 @@ def build_parser():
     g = sub.add_parser("preserve",
                        help="measure how projection changes the optimal cost")
     g.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    g.add_argument("--n", type=int, default=200)
-    g.add_argument("--d", type=int, default=100)
+    g.add_argument("--n", type=_count, default=200)
+    g.add_argument("--d", type=_count, default=100)
     g.add_argument("--k", type=_count, default=2)
     g.add_argument("--z", type=float, default=2.0)
     g.add_argument("--eps", type=float, default=0.3)
@@ -535,8 +536,8 @@ def build_parser():
     g = sub.add_parser("counterexample",
                        help="original vs projected cost on the hard instances")
     g.add_argument("--which", default="both", choices=["medoid", "css", "both"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--t", type=int, default=3)
+    g.add_argument("--n", type=_count, required=True)
+    g.add_argument("--t", type=_count, default=3)
     g.add_argument("--trials", type=_count, default=20)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--threshold", type=float,

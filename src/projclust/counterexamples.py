@@ -125,9 +125,15 @@ def css_cost(points):
         return total
     # the (d, d) scatter, summed pairwise along n, over the total keeps quad
     # on the scale of norms_sq: neither underflows nor overflows where the
-    # norms do not
-    scatter = np.array([np.sum(row * xt, axis=1) for row in xt]) / total
-    quad = np.einsum("ij,ij->j", np.einsum("ik,kj->ij", scatter, xt), xt)
+    # norms do not.  Its upper triangle is taken through one reused n-buffer
+    # and mirrored: x_i x_j and x_j x_i are the same products.
+    d = xt.shape[0]
+    scatter, buf = np.empty((d, d)), np.empty(xt.shape[1])
+    for i in range(d):
+        for j in range(i, d):
+            scatter[i, j] = scatter[j, i] = np.sum(np.multiply(xt[i], xt[j], out=buf))
+    scatter /= total
+    quad = np.einsum("ij,ij->j", np.einsum("ik,kj->ij", scatter, xt), xt, out=buf)
     return float(total - total * np.max(quad[keep] / norms_sq[keep]))
 
 

@@ -209,50 +209,61 @@ def _enumerate(problem, data, pts, w, k, z, fit):
     return _report(problem, data, sol, z, "partition-enumeration", 0, True)
 
 
-def _alternate(pts, w, shapes, sq_dists, refit, revive):
-    """Alternate nearest-shape assignment with per-group refits.
+def _alternate(shapes, sq_dists, refit, revive):
+    """Alternate nearest-shape assignment with refits of every group.
 
-    ``sq_dists(pts, shapes)`` is the (n, k) squared-distance matrix; ties go
-    to the lowest index.  A shape whose group is empty is replaced by
-    ``revive(point, shape)`` at the worst-served point; a non-empty group
-    gets ``refit(group_pts, group_w, shape)``, unless its rows all weigh 0:
-    they cost 0 whatever the shape, which it keeps.  Each round sorts the
-    rows by group once, stably, so every refit sees its rows in their
-    original order, as a contiguous slice of one reused buffer (which
-    ``refit`` must not keep).  Stops when an assignment repeats, or after
-    100 rounds.  Returns (shapes, converged, sq), ``sq`` the matrix of the
-    returned shapes when converged, else None.
+    ``sq_dists(shapes)`` is the (n, k) squared-distance matrix of the rows;
+    ties go to the lowest index.  A shape whose group is empty is replaced by
+    ``revive(i, shape)`` for the worst-served row i; then
+    ``refit(labels, sizes, shapes)`` returns the round's new shapes.  Stops
+    when an assignment repeats, or after 100 rounds.  Returns (shapes,
+    converged, sq), ``sq`` the matrix of the returned shapes when converged,
+    else None.
     """
-    shapes = list(shapes)
     k = len(shapes)
-    positive = bool(np.all(w > 0))
-    gp, gw = np.empty_like(pts), np.empty_like(w)
     prev = None
     for _ in range(100):
-        sq = sq_dists(pts, shapes)
+        sq = sq_dists(shapes)
         assign = np.argmin(sq, axis=1)
         sizes = np.bincount(assign, minlength=k)
         for b in range(k):
             if sizes[b] == 0:
-                far = int(np.argmax(geometry._nearest(sq)))
-                shapes[b] = revive(pts[far], shapes[b])
-                sq = sq_dists(pts, shapes)
+                shapes[b] = revive(int(np.argmax(geometry._nearest(sq))), shapes[b])
+                sq = sq_dists(shapes)
                 assign = np.argmin(sq, axis=1)
                 sizes = np.bincount(assign, minlength=k)
         if prev is not None and np.array_equal(assign, prev):
             return shapes, True, sq
         prev = assign
+        shapes = refit(assign, sizes, shapes)
+    return shapes, False, None
+
+
+def _per_group(pts, w, refit_one):
+    """A round refit for :func:`_alternate` that gives each non-empty group
+    ``refit_one(group_pts, group_w, shape)``, unless its rows all weigh 0:
+    they cost 0 whatever the shape, which it keeps.  Each round sorts the
+    rows by group once, stably, so every refit sees its rows in their
+    original order, as a contiguous slice of one reused buffer (which
+    ``refit_one`` must not keep)."""
+    positive = bool(np.all(w > 0))
+    gp, gw = np.empty_like(pts), np.empty_like(w)
+
+    def refit(assign, sizes, shapes):
+        shapes = list(shapes)
         # labels narrowed to the smallest unsigned type sort by radix
-        order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
+        order = np.argsort(assign.astype(np.min_scalar_type(len(shapes) - 1)), kind="stable")
         # mode="clip" lets take fill ``out`` without a buffer; order is in range
         np.take(pts, order, axis=0, out=gp, mode="clip")
         np.take(w, order, out=gw, mode="clip")
         end = 0
-        for b in range(k):
+        for b in range(len(shapes)):
             start, end = end, end + sizes[b]
             if end > start and (positive or gw[start:end].any()):
-                shapes[b] = refit(gp[start:end], gw[start:end], shapes[b])
-    return shapes, False, None
+                shapes[b] = refit_one(gp[start:end], gw[start:end], shapes[b])
+        return shapes
+
+    return refit
 
 
 def _best_of_restarts(problem, data, z, restarts, fit, method, rank=None):
@@ -288,28 +299,26 @@ def _clustering_exact(data, pts, w, k, z):
                       lambda idx: _center(pts[idx], w[idx], z))
 
 
-def _dz_seed(pts, w, k, z, rng):
-    """Cost-proportional seeding: each new center drawn by current power-z cost.
+def _dz_seed(xc, xsq, w, k, z, rng):
+    """Row indices of a cost-proportional seeding: each new center drawn by
+    current power-z cost.
 
-    The distance to the newest center is ``np.linalg.norm``'s arithmetic
-    (square, sum along the row, root), worked in one reused (n, d) buffer.
+    ``xc`` and ``xsq`` are :func:`geometry._centered`'s rows and squared row
+    norms.  The squared distance to the newest center i is
+    ``xsq + xsq[i] - 2 xc @ xc[i]``, clipped at 0, with the product taken by
+    the kernel that took ``xsq``, so a row equal to a center scores exactly 0.
     """
-    n = pts.shape[0]
-    centers = [pts[int(rng.integers(n))]]
-    dist = np.full(n, np.inf)      # distance to the nearest center so far
-    diff = np.empty_like(pts)
+    n = xc.shape[0]
+    idx = [int(rng.integers(n))]
+    sq = np.full(n, np.inf)         # squared distance to the nearest center so far
     for _ in range(k - 1):
-        np.subtract(pts, centers[-1], out=diff)
-        np.multiply(diff, diff, out=diff)
-        new = np.add.reduce(diff, axis=1)
-        np.minimum(dist, np.sqrt(new, out=new), out=dist)
-        p = w * dist ** z
+        i = idx[-1]
+        new = xsq + xsq[i] - 2.0 * np.einsum("ij,j->i", xc, xc[i])
+        np.minimum(sq, np.maximum(new, 0.0, out=new), out=sq)
+        p = w * sq ** (z / 2.0)
         tot = p.sum()
-        if tot <= 0:
-            centers.append(pts[int(rng.integers(n))])
-        else:
-            centers.append(pts[int(rng.choice(n, p=p / tot))])
-    return np.vstack(centers)
+        idx.append(int(rng.integers(n)) if tot <= 0 else int(rng.choice(n, p=p / tot)))
+    return np.array(idx)
 
 
 def _lloyd(data, pts, w, k, z, restarts, seed):
@@ -317,21 +326,42 @@ def _lloyd(data, pts, w, k, z, restarts, seed):
 
     Restart r draws its seeding from stream r of ``seed``, so results are
     reproducible and independent of evaluation order.  Empty clusters are
-    re-seeded from the point with the largest current distance.
+    re-seeded from the point with the largest current distance.  Distances
+    are expanded about :func:`geometry._centered`'s point m, from one centered
+    copy of the rows that every restart shares.  At z = 2 a round's refit is
+    one (k, n) weights by (n, d) rows product, divided by the group masses;
+    a lone row (of positive weight) is its own center.  At other z every
+    group gets a :func:`_center` refit.
     """
-    if k >= pts.shape[0]:
+    n = pts.shape[0]
+    if k >= n:
         sol = CenterSet(pts)
         return _report("clustering", data, sol, z, "lloyd-multirestart", restarts, True)
 
-    pts_sq = np.sum(pts * pts, axis=1)
+    xc, xsq, m = geometry._centered(pts)
+    if z == 2.0:
+        rows = np.arange(n)
+        weights = np.zeros((k, n))
+
+        def refit(assign, sizes, centers):
+            weights.fill(0.0)
+            weights[assign, rows] = w
+            mass = np.bincount(assign, weights=w, minlength=k)
+            held = mass > 0
+            new = np.array(centers)
+            new[held] = (weights @ xc)[held] / mass[held, None] + m
+            lone = np.flatnonzero((sizes[assign] == 1) & (w > 0))
+            new[assign[lone]] = pts[lone]
+            return new
+    else:
+        refit = _per_group(pts, w, lambda gp, gw, c: _center(gp, gw, z))
 
     def fit(r):
         centers, converged, sq = _alternate(
-            pts, w, _dz_seed(pts, w, k, z, rng_stream(seed, r)),
-            lambda p, cs: geometry._sq_dists_to_centers(p, np.vstack(cs), pts_sq),
-            lambda gp, gw, c: _center(gp, gw, z),
-            lambda far, c: far)
-        return CenterSet(np.vstack(centers)), converged, sq
+            pts[_dz_seed(xc, xsq, w, k, z, rng_stream(seed, r))],
+            lambda cs: geometry._sq_dists_to_centers(xc, np.array(cs) - m, xsq),
+            refit, lambda i, c: pts[i])
+        return CenterSet(np.array(centers)), converged, sq
 
     return _best_of_restarts("clustering", data, z, restarts, fit, "lloyd-multirestart")
 
@@ -534,13 +564,14 @@ def _lines_alternating(data, pts, w, k, z, restarts, seed):
     (exact for z = 2, a reasonable surrogate otherwise); empty groups are
     re-seeded at the worst-served point.
     """
+    refit = _per_group(pts, w, lambda gp, gw, ln: _fit_line(gp, gw, ln.direction))
+
     def fit(r):
         idx = rng_stream(seed, r).choice(pts.shape[0], size=(k, 2), replace=True)
         lines, converged, sq = _alternate(
-            pts, w, [_fit_line(pts[pair], np.ones(2)) for pair in idx],
-            geometry._sq_dists_to_lines,
-            lambda gp, gw, ln: _fit_line(gp, gw, ln.direction),
-            lambda far, ln: Line.canonical(far, ln.direction))
+            [_fit_line(pts[pair], np.ones(2)) for pair in idx],
+            lambda lns: geometry._sq_dists_to_lines(pts, lns), refit,
+            lambda i, ln: Line.canonical(pts[i], ln.direction))
         return LineSet(lines), converged, sq
 
     return _best_of_restarts("lines", data, z, restarts, fit, "alternating-multirestart")

@@ -19,9 +19,13 @@ of the (d, n) kernels in ``counterexamples``.
 
 The Lloyd references :func:`ref_lloyd` and :func:`ref_lines_alternating`
 are the heuristic clustering and lines solves the straightforward way:
-seeding by a loop over all centers so far (:func:`ref_dz_seed`), a boolean
-mask and a :func:`ref_opt_center` or ``_fit_line`` call per group and
-round (:func:`ref_alternate`), and a ``cost_pow`` pass per restart.
+seeding by a loop over the norms of the differences to all centers so far
+(:func:`ref_dz_seed`), a boolean mask and a :func:`ref_opt_center` or
+``_fit_line`` call per group and round (:func:`ref_alternate`), and a
+``cost_pow`` pass per restart.  Their center distances, like those of the
+point-to-shape references below, are :func:`ref_sq_dists_to_centers`,
+expanded about the origin: where the library expands about the rows, a test
+compares the two to a tolerance derived from the arithmetic.
 
 The exact references :func:`ref_clustering_exact` and
 :func:`ref_lines_exact` are the two partition enumerators as separate
@@ -170,6 +174,14 @@ def ref_css_cost(points):
     return float(total - np.max(captured))
 
 
+def ref_sq_dists_to_centers(pts, centers):
+    """Squared distances of the rows to the centers, |x|^2 + |c|^2 - 2 x.c
+    expanded about the origin and clipped at 0."""
+    sq = (np.sum(pts * pts, axis=1)[:, None] + np.sum(centers * centers, axis=1)[None, :]
+          - 2.0 * (pts @ centers.T))
+    return np.maximum(sq, 0.0)
+
+
 def ref_dz_seed(pts, w, k, z, rng):
     """Cost-proportional seeding, each draw from the distances to all centers so far."""
     n = pts.shape[0]
@@ -245,7 +257,7 @@ def ref_lloyd(data, k, z, restarts, seed):
     def fit(r):
         centers, converged = ref_alternate(
             pts, w, ref_dz_seed(pts, w, k, z, rng_stream(seed, r)),
-            lambda p, cs: geometry._sq_dists_to_centers(p, np.vstack(cs)),
+            lambda p, cs: ref_sq_dists_to_centers(p, np.vstack(cs)),
             lambda gp, gw, c: ref_opt_center(gp, z, gw),
             lambda far, c: far)
         return CenterSet(np.vstack(centers)), converged
@@ -526,7 +538,7 @@ def ref_distances(problem, data, solution):
     """Distance to the nearest shape, one branch per problem."""
     pts = geometry._checked_points(problem, data, solution)
     if problem == "clustering":
-        return geometry._nearest(geometry._sq_dists_to_centers(pts, solution.centers))
+        return geometry._nearest(ref_sq_dists_to_centers(pts, solution.centers))
     if problem == "subspace":
         return np.linalg.norm(pts - project_subspace(pts, solution), axis=1)
     if problem == "flat":
@@ -540,7 +552,7 @@ def ref_assignment(problem, data, solution):
         raise ValueError("assignment is defined for 'clustering' and 'lines' only")
     pts = geometry._checked_points(problem, data, solution)
     if problem == "clustering":
-        return np.argmin(geometry._sq_dists_to_centers(pts, solution.centers), axis=1)
+        return np.argmin(ref_sq_dists_to_centers(pts, solution.centers), axis=1)
     return np.argmin(geometry._sq_dists_to_lines(pts, solution.lines), axis=1)
 
 
@@ -581,16 +593,19 @@ def ref_profile(dist, z, tail):
     return SensitivityProfile(sigma)
 
 
-def ref_sensitivity(problem, data, solution, z):
-    """The four sensitivities as separate bodies over :func:`ref_profile`."""
+def ref_sensitivity(problem, data, solution, z, center_dist=None):
+    """The four sensitivities as separate bodies over :func:`ref_profile`.
+    ``center_dist``, if given, replaces the distances of the clustering
+    profile (its clusters still come from the reference's own distances)."""
     z = geometry._check_z(z)
     pts = geometry._checked_points(problem, data, solution)
     lead = 2.0 ** (2.0 * z - 1.0)
     if problem == "clustering":
-        sq = geometry._sq_dists_to_centers(pts, solution.centers)
+        sq = ref_sq_dists_to_centers(pts, solution.centers)
         assign = np.argmin(sq, axis=1)
         sizes = np.bincount(assign, minlength=solution.k)
-        return ref_profile(geometry._nearest(sq), z, lead / sizes[assign])
+        dist = geometry._nearest(sq) if center_dist is None else center_dist
+        return ref_profile(dist, z, lead / sizes[assign])
     if problem == "lines":
         sq = geometry._sq_dists_to_lines(pts, solution.lines)
         labels = np.argmin(sq, axis=1)

@@ -243,6 +243,12 @@ def test_coreset_flat_z1_byte_identical_across_thread_counts(tmp_path, monkeypat
     (["solve", "--problem", "flat"], "--k", "0"),
     (["coreset", "--problem", "clustering", "--m", "5"], "--k", "0"),
     (["preserve", "--problem", "clustering", "--t", "3"], "--k", "0"),
+    (["gen", "--kind", "gaussian-mixture"], "--n", "-3"),
+    (["gen", "--kind", "points-near-k-lines", "--n", "10"], "--d", "0"),
+    (["preserve", "--problem", "clustering", "--t", "3"], "--n", "0"),
+    (["preserve", "--problem", "clustering", "--n", "10", "--t", "3"], "--d", "-1"),
+    (["counterexample"], "--n", "0"),
+    (["counterexample", "--n", "10"], "--t", "0"),
 ])
 def test_counts_below_one_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                        command, flag, value):
@@ -553,6 +559,31 @@ def test_preserve_byte_identical_across_blas_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == threads
         outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or _usable_cores() < 2,
+                    reason="needs Linux's /proc/self/task and two usable cores")
+@pytest.mark.skipif("openblas" not in _blas_name(), reason="numpy's BLAS is not OpenBLAS")
+def test_lloyd_bits_identical_across_blas_thread_counts():
+    # 20,000 x 60 rows: large enough for OpenBLAS to thread the z = 2 refit's
+    # product, (k, n) weights by (n, d) rows, which reduces over the rows
+    outs = []
+    for threads in ("1", "2"):
+        env = _env_with_src()
+        env["OPENBLAS_NUM_THREADS"] = threads
+        code = ("import os, numpy as np; from projclust import solve; "
+                "print(len(os.listdir('/proc/self/task'))); "
+                "x = np.random.default_rng(3).normal(size=(20000, 60)); "
+                "x[:8000] += 3.0; "
+                "rep = solve('clustering', x, 5, 2, restarts=2, seed=1); "
+                "print(rep.solution.centers.tobytes().hex(), rep.cost_pow.hex(), rep.converged)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        tasks, out = proc.stdout.splitlines()
+        assert tasks == threads
+        outs.append(out)
     assert outs[0] == outs[1]
 
 

@@ -309,6 +309,9 @@ def test_descent_reports_running_out_of_steps(monkeypatch):
 @pytest.mark.parametrize("z", [1.3, 2.0, 3.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dz_seed_matches_loop_reference(z, seed):
+    # the draws read distances expanded about the data, the reference's are
+    # norms of differences: the weights differ in the last bits, which moves
+    # a draw only if its uniform falls within rounding of a cumulative weight
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(60, 4))
     pts[:5] = pts[5]
@@ -321,11 +324,45 @@ def test_dz_seed_matches_loop_reference(z, seed):
     zero_w = w.copy()
     zero_w[::2] = 0.0
     for p, pw, k in ((pts, w, 1), (pts, w, 5), (pts, np.ones(60), 8), (same, np.ones(7), 4),
-                     (pts, zero_w, 6), (wide, wide_w, 7), (wide, np.ones(50), 5)):
+                     (pts, zero_w, 6), (wide, wide_w, 7), (wide, np.ones(50), 5),
+                     (pts + 1e8, w, 5), (same + 1e8, np.ones(7), 4)):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        npt.assert_array_equal(_dz_seed(p, pw, k, z, got_rng),
+        xc, xsq, _ = geometry._centered(p)
+        npt.assert_array_equal(p[_dz_seed(xc, xsq, pw, k, z, got_rng)],
                                ref_dz_seed(p, pw, k, z, want_rng))
         assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+
+class _RecordingRng:
+    """A generator that records the weights of every ``choice``."""
+
+    def __init__(self, seed):
+        self.rng, self.weights = np.random.default_rng(seed), []
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def choice(self, n, p):
+        self.weights.append(p.copy())
+        return self.rng.choice(n, p=p)
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("shift", [0.0, 1e8])
+def test_dz_seed_scores_rows_on_a_center_zero(z, shift):
+    # the product with the newest center and the squared norms come from one
+    # kernel, so a row equal to a center scores exactly 0, however far out
+    rng = np.random.default_rng(31)
+    pool = rng.normal(size=(6, 7)) * rng.uniform(0.1, 10.0, 6)[:, None] + shift
+    pts = pool[rng.integers(6, size=80)]
+    for k in (3, 6):
+        rec = _RecordingRng(5)
+        xc, xsq, _ = geometry._centered(pts)
+        idx = _dz_seed(xc, xsq, rng.uniform(0.5, 2.0, 80), k, z, rec)
+        assert len(rec.weights) == k - 1
+        for j, p in enumerate(rec.weights):
+            on = np.any(np.all(pts[:, None, :] == pts[idx[:j + 1]][None], axis=2), axis=1)
+            assert np.all(p[on] == 0.0) and np.all(p[~on] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -546,16 +583,63 @@ def lloyd_instances(draw):
     return data, draw(st.integers(1, 6)), draw(st.integers(1, 6)), seed
 
 
+def _parts(labels):
+    """``labels`` renumbered by first appearance: two labelings of one
+    partition of the rows give the same array."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def _lloyd_tolerances(data, centers, z):
+    """(entrywise center tolerance, cost_pow tolerance) between a Lloyd
+    solve and :func:`ref_lloyd` that ended on the same partition.
+
+    With u = 2^-53, R the largest entry of the rows and centers, n rows in
+    R^d: the reference's z = 2 center, np.average, is off the exact weighted
+    mean by at most (n + 1) u R an entry; the solver's sums n weighted
+    centered rows, each off by u |x - m| <= 2 u R, by one product, divides
+    by the mass and adds m back, at most (2n + 8) u R.  So the two agree to
+    (3n + 9) u R <= (3n + 12) u R.  Both costs are cost_pow's, whose
+    distance from a row to the center serving it is the norm of the residual,
+    off by at most (d + 2) u |x - c| <= (d + 2) u 2 sqrt(d) R.  So each
+    distance moves by at most delta = sqrt(d) * (center tolerance)
+    + 4 (d + 2) sqrt(d) u R, and the costs by
+    sum_i w_i ((r_i + delta)^z - max(r_i - delta, 0)^z), r the reference's
+    distances."""
+    u = 2.0 ** -53
+    pts = geometry._points_of(data)
+    n, d = pts.shape
+    big = max(float(np.max(np.abs(pts))), float(np.max(np.abs(centers))))
+    tol_c = (3 * n + 12) * u * big
+    delta = np.sqrt(d) * (tol_c + 4 * (d + 2) * u * big)
+    r = geometry.distances("clustering", data, CenterSet(centers))
+    w = data.weights if isinstance(data, WeightedSet) else np.ones(n)
+    return tol_c, float(np.sum(w * ((r + delta) ** z - np.maximum(r - delta, 0.0) ** z)))
+
+
 @pytest.mark.parametrize("z", [1.0, 1.5, 2.0, 3.0])
 @settings(max_examples=50, deadline=None)
 @given(case=lloyd_instances())
 def test_lloyd_matches_per_group_reference(z, case):
+    # The solver expands distances about the data and refits every group at
+    # z = 2 by one product; the reference expands about the origin and takes
+    # a mask and np.average per group.  So the partition of the rows and
+    # ``converged`` agree exactly, and the center serving each part and the
+    # costs within _lloyd_tolerances, fixed from the arithmetic.  Where rows
+    # sit on two centers to within rounding (repeated rows, k at least the
+    # distinct rows), rounding picks which center serves them, so the
+    # partition is compared as a set of parts, and a center serving no row
+    # is not compared.
     data, k, restarts, seed = case
     got = solve("clustering", data, k, z, restarts=restarts, seed=seed, method="heuristic")
     sol, cp, converged = ref_lloyd(data, k, z, restarts, seed)
-    npt.assert_array_equal(got.solution.centers, sol.centers)
-    assert got.cost_pow == cp
+    labels = geometry.assignment("clustering", data, got.solution)
+    want = geometry.assignment("clustering", data, sol)
+    npt.assert_array_equal(_parts(labels), _parts(want))
     assert got.converged == converged
+    tol_c, tol_cost = _lloyd_tolerances(data, sol.centers, z)
+    npt.assert_allclose(got.solution.centers[labels], sol.centers[want], rtol=0, atol=tol_c)
+    assert abs(got.cost_pow - cp) <= tol_cost
 
 
 @settings(max_examples=50, deadline=None)
@@ -1049,6 +1133,45 @@ def test_solve_refuses_bad_arguments_on_every_path(problem):
             args = {"k": 2, "z": 2, **kwargs}
             with pytest.raises(ValueError, match=msg):
                 solve(problem, x, args.pop("k"), args.pop("z"), method=method, **args)
+
+
+@st.composite
+def translate_instances(draw):
+    """(pts, k, shift): 8-30 rows of R^1 to R^4 on the grid of multiples of
+    2^-6, within 2 of k grid centers of size at most 8, and a shift of size
+    2^j, j <= 30.  Every row then has at most 40 significant bits, so
+    pts + shift is an exact translate of pts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d, k = draw(st.integers(8, 30)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    centers = rng.integers(-32, 33, size=(k, d)) / 4.0
+    pts = centers[rng.integers(k, size=n)] + rng.integers(-128, 129, size=(n, d)) / 64.0
+    return pts, k, draw(st.sampled_from([1.0, -1.0])) * 2.0 ** draw(st.integers(0, 30))
+
+
+@pytest.mark.parametrize("method", ["heuristic", "exact"])
+@pytest.mark.parametrize("z", [1.0, 1.5, 2.0, 3.0])
+@settings(max_examples=8, deadline=None)
+@given(case=translate_instances())
+def test_clustering_cost_holds_under_exact_translation(method, z, case):
+    # Center distances are expanded about the data, not the origin, so far
+    # from the origin the reported cost stays within 1e-12 relative of the
+    # direct sum of its distances, and at z = 2 (centers in closed form)
+    # within 1e-12 of the untranslated solve's.  About the origin a squared
+    # distance carries rounding of about u |x|^2: at a shift of 2^30, 2^-53
+    # * 2^60 = 128 against distances of about 1.  At z != 2 the solves
+    # themselves differ: their iterative centers run on the translated rows.
+    pts, k, shift = case
+    if method == "exact":
+        pts = pts[:8]
+    moved = pts + shift
+    got = solve("clustering", moved, k, z, restarts=4, seed=2, method=method)
+    c = got.solution.centers
+    direct = np.sum(np.min(np.linalg.norm(moved[:, None, :] - c[None], axis=2), axis=1) ** z)
+    assert got.cost_pow == pytest.approx(direct, rel=1e-12, abs=0.0)
+    if z == 2.0:
+        want = solve("clustering", pts, k, z, restarts=4, seed=2, method=method)
+        assert want.cost_pow > 0.0
+        assert got.cost_pow == pytest.approx(want.cost_pow, rel=1e-12, abs=0.0)
 
 
 def _scaled_parts(sol):
