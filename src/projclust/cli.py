@@ -54,7 +54,7 @@ def _run_tasks(worker, tasks):
         return [worker(t) for t in tasks]
     # Worth its memory: numpy releases the GIL, so counterexample
     # (n = 10^6, t = 3, 10 trials) runs 1.8x faster on 2 cores than on 1
-    # (2.06 against 1.14 s, median of 4 whole commands on a 2-vCPU host).
+    # (0.94 against 0.54 s, median of 5 whole commands on a 2-vCPU host).
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
@@ -96,7 +96,24 @@ def _or_failed(stage, *stage_args):
         return None
 
 
-def _safe_ratio(num, den):
+# A cost at or below this share of the same points' cost about their own
+# (weighted) mean, at the same z, is 0 up to rounding.
+_ZERO_COST_SHARE = 2.0 ** -40
+
+
+def _zero_floor(data, z):
+    """The largest cost of ``data`` that :func:`_safe_ratio` reads as 0."""
+    pts = geometry._points_of(data)
+    w = data.weights if isinstance(data, geometry.WeightedSet) else None
+    spread = np.linalg.norm(pts - np.average(pts, axis=0, weights=w), axis=1)
+    return _ZERO_COST_SHARE * geometry._pow_sum(data, spread, z) ** (1.0 / z)
+
+
+def _safe_ratio(num, den, floors):
+    """num / den, each first read as 0 at or below its floor from
+    :func:`_zero_floor`: 1 when both are 0, inf when only den is."""
+    num = num if num > floors[0] else 0.0
+    den = den if den > floors[1] else 0.0
     if den > 0.0:
         return num / den
     return 1.0 if num == 0.0 else np.inf
@@ -254,6 +271,7 @@ def cmd_coreset(args):
     t, = _target_dims(args, data.n, data.d)
     rep_full = _solve(args, data)
     cost_full = float(rep_full.cost)
+    floor_full = _zero_floor(data, args.z)
     prof = _profile_for(args.problem, data, rep_full.solution, args.z)
 
     def probe(trial):
@@ -261,11 +279,14 @@ def cmd_coreset(args):
                                             stream=trial).extract(data)
         rep_cs = _solve(args, ws)
         pi = _trial_map(args, data.d, t, args.trials + trial)
-        rep_pf = _solve(args, jl.apply(pi, data))
-        rep_pc = _solve(args, jl.apply(pi, ws))
+        pdata, pws = jl.apply(pi, data), jl.apply(pi, ws)
+        rep_pf = _solve(args, pdata)
+        rep_pc = _solve(args, pws)
         return [args.m, trial, "ok", cost_full, float(rep_cs.cost),
-                _safe_ratio(float(rep_cs.cost), cost_full),
-                _safe_ratio(float(rep_pc.cost), float(rep_pf.cost))]
+                _safe_ratio(float(rep_cs.cost), cost_full,
+                            (_zero_floor(ws, args.z), floor_full)),
+                _safe_ratio(float(rep_pc.cost), float(rep_pf.cost),
+                            (_zero_floor(pws, args.z), _zero_floor(pdata, args.z)))]
 
     probed = _run_tasks(lambda trial: _or_failed(probe, trial), list(range(args.trials)))
     rows = [row or [args.m, trial, "failed", cost_full, None, None, None]
@@ -296,12 +317,14 @@ def cmd_preserve(args):
 
     def solve_task(j):
         """Task j < trials is trial j's full solve; task j >= trials projects
-        trial j % trials to ts[j // trials - 1] by the map of stream j."""
+        trial j % trials to ts[j // trials - 1] by the map of stream j.  Each
+        gives its report (the cost of a full solve) and its points' floor."""
         data = datasets[j % trials]
         if j < trials:
-            return float(_solve(args, data).cost)
+            return float(_solve(args, data).cost), _zero_floor(data, args.z)
         pi = _trial_map(args, args.d, ts[j // trials - 1], j)
-        return _or_failed(_solve, args, jl.apply(pi, data))
+        pdata = jl.apply(pi, data)
+        return _or_failed(_solve, args, pdata), _zero_floor(pdata, args.z)
 
     # one task list, the larger full solves first, so that the pool is the
     # only level of parallelism and no core idles while they run
@@ -311,13 +334,13 @@ def cmd_preserve(args):
               "method", "cost_original", "cost_projected", "ratio",
               "completed", "failed", "median", "p5", "p95"]
     rows = []
-    for j, rep in enumerate(solved[trials:], start=trials):
-        cost_full = solved[j % trials]
+    for j, (rep, floor) in enumerate(solved[trials:], start=trials):
+        cost_full, floor_full = solved[j % trials]
         if rep is None:
             res = ["failed", None, cost_full, None, None]
         else:
             res = ["ok", rep.method, cost_full, float(rep.cost),
-                   _safe_ratio(float(rep.cost), cost_full)]
+                   _safe_ratio(float(rep.cost), cost_full, (floor, floor_full))]
         rows.append(["record", args.problem, args.n, args.d, args.k, args.z,
                      ts[j // trials - 1], j % trials, *res, None, None, None, None, None])
     for ti, t in enumerate(ts):

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .geometry import Dataset
-from .jl import sample_jl
+from .jl import _draw, sample_jl
 
 __all__ = [
     "gen_medoid_instance", "gen_css_instance",
@@ -38,6 +38,9 @@ _MAX_INSTANCE_BYTES = 2 ** 30
 # Below this total mass the squared entries that make it up reach the
 # subnormal range and lose digits, so the cost kernels rescale first.
 _TINY_TOTAL = 2.0 ** -900
+# Columns per block of css_cost's quadratic form: its (d, n) product with
+# the scatter is taken a (d, _QUAD_BLOCK) block at a time.
+_QUAD_BLOCK = 2 ** 15
 
 
 def _check_instance(n, cols):
@@ -91,8 +94,8 @@ def medoid_cost(points):
     Uses the expansion ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 <x_i, x_j>
     so the whole sweep is O(n d).  The sweep runs on the (d, n) transpose,
     a view that is C-contiguous when the points are the transpose of a map,
-    with two-operand ``einsum`` reductions over its short axis: no BLAS call
-    and no copy of the points.
+    with two-operand ``einsum`` reductions over its short axis: no BLAS call,
+    no copy of the points and two n-vectors of memory besides them.
     """
     xt = np.asarray(points, dtype=float).T
     norms_sq = np.einsum("ij,ij->j", xt, xt)
@@ -101,7 +104,8 @@ def medoid_cost(points):
     if e:
         return math.ldexp(medoid_cost(np.ldexp(xt, -e).T), 2 * e)
     per_center = np.einsum("i,ij->j", -2.0 * np.sum(xt, axis=1), xt)
-    per_center += xt.shape[1] * norms_sq
+    norms_sq *= xt.shape[1]             # total is taken: scale in place
+    per_center += norms_sq
     return total + float(np.min(per_center))
 
 
@@ -113,6 +117,8 @@ def css_cost(points):
     Row i captures x_i' S x_i / ||x_i||^2 of the mass, S the (d, d)
     scatter; like :func:`medoid_cost` it is computed on the (d, n)
     transpose with two-operand ``einsum`` reductions and no BLAS call.
+    Besides the points it holds two n-vectors, an n-byte mask and one
+    (d, 2^15) block of S times the columns.
     """
     xt = np.asarray(points, dtype=float).T
     norms_sq = np.einsum("ij,ij->j", xt, xt)
@@ -127,14 +133,20 @@ def css_cost(points):
     # on the scale of norms_sq: neither underflows nor overflows where the
     # norms do not.  Its upper triangle is taken through one reused n-buffer
     # and mirrored: x_i x_j and x_j x_i are the same products.
-    d = xt.shape[0]
-    scatter, buf = np.empty((d, d)), np.empty(xt.shape[1])
+    d, n = xt.shape
+    scatter, buf = np.empty((d, d)), np.empty(n)
     for i in range(d):
         for j in range(i, d):
             scatter[i, j] = scatter[j, i] = np.sum(np.multiply(xt[i], xt[j], out=buf))
     scatter /= total
-    quad = np.einsum("ij,ij->j", np.einsum("ik,kj->ij", scatter, xt), xt, out=buf)
-    return float(total - total * np.max(quad[keep] / norms_sq[keep]))
+    # x_i' S x_i into the same buffer, a block of columns at a time: each
+    # column's value depends on that column alone, so blocking moves no bit
+    for a in range(0, n, _QUAD_BLOCK):
+        blk = xt[:, a:a + _QUAD_BLOCK]
+        np.einsum("ij,ij->j", np.einsum("ik,kj->ij", scatter, blk), blk,
+                  out=buf[a:a + _QUAD_BLOCK])
+    captured = np.divide(buf, norms_sq, out=buf, where=keep)
+    return float(total - total * np.max(captured, where=keep, initial=-np.inf))
 
 
 def medoid_optimum(n):
@@ -172,10 +184,11 @@ def counterexample_trial(which, n, t, seed):
 
     ``which`` is "medoid" or "css".  The projected point set is read
     straight from columns of the sampled (t, n) or (t, n + 1) map and kept
-    in that layout, so a trial takes O(n t) time and, counting the map,
-    about two map-sizes of memory for medoid and three for css; its
-    cost kernels make no BLAS call.  A map above 2^30 bytes is refused
-    before it is sampled.
+    in that layout; the css points are formed in the first n columns of
+    the map's own buffer.  So a trial takes O(n t) time and, counting the
+    map, under two map-sizes of memory: the map, two n-vectors and, for
+    css, one block of 2^15 columns.  Its cost kernels make no BLAS call.
+    A map above 2^30 bytes is refused before it is sampled.
     """
     if n < 2:
         raise ValueError("need at least two points")
@@ -183,10 +196,12 @@ def counterexample_trial(which, n, t, seed):
         raise ValueError(f"unknown instance family: {which!r}")
     d = n if which == "medoid" else n + 1
     _check_bytes(f"a {t} x {d} map", t, d)
-    m = sample_jl(d, t, seed).matrix
     if which == "medoid":
+        m = sample_jl(d, t, seed).matrix
         return RatioReport(which, n, t, seed, medoid_optimum(n),
                            medoid_cost(m.T))            # row i = pi @ e_i
-    proj = (m[:, :n] + m[:, n:]) / np.sqrt(2.0)         # (t, n)
-    del m                                               # one map-size less
+    m = _draw(d, t, seed)                               # sample_jl's matrix
+    proj = m[:, :n]                 # row i = pi @ (e_i + e_{n+1}) / sqrt(2)
+    np.add(proj, m[:, n:], out=proj)
+    np.divide(proj, np.sqrt(2.0), out=proj)
     return RatioReport(which, n, t, seed, css_optimum(n), css_cost(proj.T))

@@ -394,7 +394,7 @@ def _match(problem, pts, solution):
         mask = labels == j
         if np.any(mask):
             feet[mask] = project_line(pts[mask], ln)
-    return labels, feet, _nearest(sq)
+    return labels, feet, _nearest(sq, labels)
 
 
 def distances(problem, data, solution):
@@ -414,9 +414,14 @@ def distances(problem, data, solution):
     return _match(problem, _checked_points(problem, data, solution), solution)[2]
 
 
-def _nearest(sq):
-    """Distance to the nearest shape, from an (n, k) squared-distance matrix."""
-    return np.sqrt(np.min(sq, axis=1))
+def _nearest(sq, labels=None):
+    """Distance to the nearest shape, from an (n, k) squared-distance matrix
+    and, if known, its ``argmin`` along the rows: the least entry read at the
+    argmin is ``np.min``'s bit for bit, nan included, for about a third of
+    its time."""
+    if labels is None:
+        labels = np.argmin(sq, axis=1)
+    return np.sqrt(sq[np.arange(sq.shape[0]), labels])
 
 
 def assignment(problem, data, solution):

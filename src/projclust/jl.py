@@ -25,17 +25,18 @@ class JLMap:
         self._take(np.array(matrix, dtype=np.float64), seed)   # a private copy
 
     @classmethod
-    def _own(cls, matrix, seed):
-        """A map that takes ``matrix``, a fresh float64 array, without a copy."""
+    def _own(cls, matrix, seed, checked=False):
+        """A map that takes ``matrix``, a fresh float64 array, without a copy;
+        ``checked`` says :func:`_checked_finite` has already read it."""
         pi = cls.__new__(cls)
-        pi._take(matrix, seed)
+        pi._take(matrix, seed, checked)
         return pi
 
-    def _take(self, m, seed):
+    def _take(self, m, seed, checked=False):
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"matrix must be a non-empty 2-d array, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix must contain only finite values")
+        if not checked:
+            _checked_finite(m)
         self.matrix = m
         self.matrix.setflags(write=False)
         self.t, self.d = m.shape
@@ -45,14 +46,26 @@ class JLMap:
         return f"JLMap(t={self.t}, d={self.d}, seed={self.seed})"
 
 
-def sample_jl(d, t, seed, stream=0):
-    """Draw a t x d map with i.i.d. N(0, 1/t) entries, deterministic in (seed, stream)."""
+def _checked_finite(m):
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix must contain only finite values")
+    return m
+
+
+def _draw(d, t, seed, stream=0):
+    """The (t, d) matrix of :func:`sample_jl`, checked finite and still
+    writable: a fresh array for a caller that transforms it in place."""
     d = int(d)
     t = int(t)
     if d < 1 or t < 1:
         raise ValueError("d and t must be positive")
     rng = rng_stream(seed, stream)
-    return JLMap._own(rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, d)), seed)
+    return _checked_finite(rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, d)))
+
+
+def sample_jl(d, t, seed, stream=0):
+    """Draw a t x d map with i.i.d. N(0, 1/t) entries, deterministic in (seed, stream)."""
+    return JLMap._own(_draw(d, t, seed, stream), seed, checked=True)
 
 
 def identity_map(d):

@@ -228,7 +228,7 @@ def _alternate(shapes, sq_dists, refit, revive):
         sizes = np.bincount(assign, minlength=k)
         for b in range(k):
             if sizes[b] == 0:
-                shapes[b] = revive(int(np.argmax(geometry._nearest(sq))), shapes[b])
+                shapes[b] = revive(int(np.argmax(geometry._nearest(sq, assign))), shapes[b])
                 sq = sq_dists(shapes)
                 assign = np.argmin(sq, axis=1)
                 sizes = np.bincount(assign, minlength=k)

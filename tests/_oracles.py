@@ -15,7 +15,10 @@ component in the span score 0, as in ``sensitivity.sup_ratios``.
 The counterexample cost references :func:`ref_medoid_cost` and
 :func:`ref_css_cost` work row by row on the (n, d) points with BLAS
 products and a normalised copy of the rows: a summation order independent
-of the (d, n) kernels in ``counterexamples``.
+of the (d, n) kernels in ``counterexamples``.  :func:`ref_medoid_kernel`
+and :func:`ref_css_kernel` are those (d, n) kernels with whole-width
+temporaries: a (d, n) product for the css quadratic form and gathered
+copies of the kept columns.  The library must match them bit for bit.
 
 The Lloyd references :func:`ref_lloyd` and :func:`ref_lines_alternating`
 are the heuristic clustering and lines solves the straightforward way:
@@ -61,6 +64,7 @@ import numpy as np
 from projclust import geometry, jl
 from projclust._rng import rng_stream
 from projclust.coreset import _TIE_REL, COVER_FACTOR, peel_partition
+from projclust.counterexamples import _tiny_exponent
 from projclust.geometry import CenterSet, Line, LineSet, WeightedSet
 from projclust.geometry import Flat, Subspace, project_flat, project_line, project_subspace
 from projclust.sensitivity import SensitivityProfile, sup_ratios
@@ -172,6 +176,42 @@ def ref_css_cost(points):
     scatter = x.T @ x
     captured = np.einsum("ij,jk,ik->i", u, scatter, u)
     return float(total - np.max(captured))
+
+
+def ref_medoid_kernel(points):
+    """``counterexamples.medoid_cost`` with an n-vector temporary for the
+    scaled norms."""
+    xt = np.asarray(points, dtype=float).T
+    norms_sq = np.einsum("ij,ij->j", xt, xt)
+    total = float(np.sum(norms_sq))
+    e = _tiny_exponent(xt, total)
+    if e:
+        return math.ldexp(ref_medoid_kernel(np.ldexp(xt, -e).T), 2 * e)
+    per_center = np.einsum("i,ij->j", -2.0 * np.sum(xt, axis=1), xt)
+    per_center += xt.shape[1] * norms_sq
+    return total + float(np.min(per_center))
+
+
+def ref_css_kernel(points):
+    """``counterexamples.css_cost`` with the quadratic form as one (d, n)
+    product and the quotients taken on gathered copies of the kept columns."""
+    xt = np.asarray(points, dtype=float).T
+    norms_sq = np.einsum("ij,ij->j", xt, xt)
+    total = float(np.sum(norms_sq))
+    e = _tiny_exponent(xt, total)
+    if e:
+        return math.ldexp(ref_css_kernel(np.ldexp(xt, -e).T), 2 * e)
+    keep = norms_sq > 0
+    if not np.any(keep):
+        return total
+    d = xt.shape[0]
+    scatter, buf = np.empty((d, d)), np.empty(xt.shape[1])
+    for i in range(d):
+        for j in range(i, d):
+            scatter[i, j] = scatter[j, i] = np.sum(np.multiply(xt[i], xt[j], out=buf))
+    scatter /= total
+    quad = np.einsum("ij,ij->j", np.einsum("ik,kj->ij", scatter, xt), xt, out=buf)
+    return float(total - total * np.max(quad[keep] / norms_sq[keep]))
 
 
 def ref_sq_dists_to_centers(pts, centers):

@@ -381,6 +381,32 @@ def test_preserve_identity_map_is_exact(tmp_path):
     assert all(float(r[12]) == 1.0 for r in records)
 
 
+def test_preserve_reads_costs_that_are_zero_up_to_rounding_as_zero(tmp_path, capsys):
+    # four lines through five points: both optima are 0 up to rounding
+    # (about 1e-15), and their raw quotient would read about 2.7
+    out = tmp_path / "r.csv"
+    assert main(["preserve", "--problem", "lines", "--n", "5", "--d", "3", "--k", "4",
+                 "--t", "2", "--trials", "1", "--out", str(out)]) == 0
+    _, rows = read_csv(str(out))
+    record, summary = rows
+    assert 0.0 < float(record[10]) < 1e-12 and 0.0 < float(record[11]) < 1e-12
+    assert float(record[12]) == float(summary[15]) == 1.0
+    assert "median=1.0 " in capsys.readouterr().out
+
+
+def test_safe_ratio_floors():
+    data = geometry.WeightedSet([[0.0, 0.0], [3.0, 0.0]], [2.0, 1.0])
+    # the weighted mean is (1, 0): cost 6^(1/2) at z = 2, 4 at z = 1
+    assert cli._zero_floor(data, 2.0) == 2.0 ** -40 * 6.0 ** 0.5
+    assert cli._zero_floor(data, 1.0) == 2.0 ** -40 * 4.0
+    floors = (1e-12, 1e-12)
+    assert cli._safe_ratio(1e-12, 3e-12, floors) == 0.0
+    assert cli._safe_ratio(1e-12, 1e-12, floors) == 1.0
+    assert cli._safe_ratio(3e-12, 1e-12, floors) == np.inf
+    assert cli._safe_ratio(3e-12, 2e-12, floors) == 1.5
+    assert cli._safe_ratio(0.0, 0.0, (0.0, 0.0)) == 1.0
+
+
 def test_preserve_record_rebuilt_from_library_calls(tmp_path):
     # trial i draws its data from stream i, and its projection to ts[ti] uses
     # the map of stream (1 + ti) * trials + i

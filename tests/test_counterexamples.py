@@ -6,9 +6,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import ref_css_cost, ref_medoid_cost
+from _oracles import ref_css_cost, ref_css_kernel, ref_medoid_cost, ref_medoid_kernel
+from projclust import cli
 from projclust.jl import apply, sample_jl
 from projclust.counterexamples import (
+    _QUAD_BLOCK,
     gen_medoid_instance, gen_css_instance,
     medoid_cost, css_cost, medoid_optimum, css_optimum,
     RatioReport, counterexample_trial,
@@ -111,9 +113,10 @@ def test_trial_refuses_a_huge_map_before_sampling(which, d):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("which,d_extra,bound", [("medoid", 0, 2.5), ("css", 1, 3.0)])
+@pytest.mark.parametrize("which,d_extra,bound", [("medoid", 0, 1.8), ("css", 1, 2.0)])
 def test_trial_memory_in_map_sizes(which, d_extra, bound):
-    # the map itself is one map-size; the kernels read it in place
+    # the map itself is one map-size and the kernels read it in place; two
+    # n-vectors make 1.67, css adds a mask and one block of 2^15 columns
     n, t = 200_000, 3
     counterexample_trial(which, 100, t, 0)              # warm up numpy
     tracemalloc.start()
@@ -123,6 +126,20 @@ def test_trial_memory_in_map_sizes(which, d_extra, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * 8 * t * (n + d_extra)
+
+
+def test_two_css_trials_on_two_threads_stay_below_four_map_sizes(tmp_path, monkeypatch):
+    n, t = 200_000, 3
+    monkeypatch.setenv("PROJCLUST_THREADS", "2")
+    args = ["counterexample", "--which", "css", "--t", str(t), "--trials", "2"]
+    assert cli.main(args + ["--n", "100", "--out", str(tmp_path / "warm.csv")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(args + ["--n", str(n), "--out", str(tmp_path / "o.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * 8 * t * (n + 1)
 
 
 def test_generators_size_limit_is_two_to_the_thirty_bytes():
@@ -158,6 +175,44 @@ def test_kernels_match_the_row_major_references(x):
     mass = float(np.sum(x * x))
     assert abs(medoid_cost(x) - ref_medoid_cost(x)) <= 1e-12 * mass
     assert abs(css_cost(x) - ref_css_cost(x)) <= 1e-12 * mass
+
+
+@st.composite
+def maps(draw):
+    """Read-only (t, n + 1) maps, n around multiples of the css block, with
+    some or all columns zero, and some scaled by 2^-470: a total mass below
+    the kernels' rescale threshold of 2^-900."""
+    n = draw(st.sampled_from((2, 7, _QUAD_BLOCK - 1, _QUAD_BLOCK, _QUAD_BLOCK + 1,
+                              3 * _QUAD_BLOCK + 5)))
+    t = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.normal(size=(t, n + 1))
+    m[:, rng.random(n + 1) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    m = np.ldexp(m, -draw(st.sampled_from((0, 470))))
+    m.setflags(write=False)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps())
+def test_kernels_match_their_whole_width_references_bit_for_bit(m):
+    n = m.shape[1] - 1
+    view = m[:, :n]                                  # strided, as a css trial's
+    before = m.copy()
+    for pts in (view.T, np.ascontiguousarray(view).T, np.ascontiguousarray(view.T)):
+        assert css_cost(pts) == ref_css_kernel(pts)
+        assert medoid_cost(pts) == ref_medoid_kernel(pts)
+    npt.assert_array_equal(m, before)
+
+
+@pytest.mark.parametrize("n", [2, 100, _QUAD_BLOCK + 1, 65537])
+def test_css_trial_is_the_reference_kernel_on_the_formed_points(n):
+    t, seed = 3, 11
+    m = sample_jl(n + 1, t, seed).matrix
+    rep = counterexample_trial("css", n, t, seed)
+    assert rep.cost_projected == ref_css_kernel(((m[:, :n] + m[:, n:]) / np.sqrt(2.0)).T)
+    rep = counterexample_trial("medoid", n, t, seed)
+    assert rep.cost_projected == ref_medoid_kernel(sample_jl(n, t, seed).matrix.T)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from projclust.geometry import (
     Dataset, WeightedSet, CenterSet, Subspace, Flat, Line, LineSet,
     project_subspace, project_flat, project_line,
     distances, assignment, cost_pow, cost,
-    read_dataset, write_points, _write_csv,
+    read_dataset, write_points, _write_csv, _nearest,
 )
 
 
@@ -142,6 +142,22 @@ def test_projection_dimension_mismatch():
 
 # ---------------------------------------------------------------------------
 # Costs: worked examples
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_nearest_is_the_root_of_the_row_minimum_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    sq = rng.random((200, k)) * 10.0 ** rng.integers(-300, 300, (200, 1))
+    sq[:20] = 0.0                                    # ties at zero
+    sq[20:40] = sq[20:40, :1]                        # ties at a positive value
+    sq[40, -1] = 0.0
+    sq[41, 0] = np.nan
+    sq[42, -1] = np.nan
+    sq[43] = np.nan                                  # a whole nan row
+    want = np.sqrt(np.min(sq, axis=1))
+    assert np.all(np.isnan(want[41:44]))
+    npt.assert_array_equal(_nearest(sq), want)
+    npt.assert_array_equal(_nearest(sq, np.argmin(sq, axis=1)), want)
 
 
 def test_line_distances_of_points_on_the_line():
