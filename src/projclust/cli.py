@@ -1,20 +1,23 @@
 """Command line driver: generate data, project, solve, sample, run experiments.
 
 The worker pool is the only level of parallelism.  It runs one thread per
-core this process may use (the PROJCLUST_THREADS environment variable
-overrides the count), and OpenBLAS runs on one thread unless the caller sets
-OPENBLAS_NUM_THREADS (see the package's ``__init__``).  Every experiment is
-deterministic given its --seed: work items draw from per-index generator
-streams, and the pool never changes the output ordering, so result files are
-byte-identical across runs and pool sizes.  ``coreset`` and ``preserve`` share
-``_target_dims`` (t by one rule, each in [1, d]), ``_trial_map`` (maps from the
-streams past --trials) and ``_or_failed`` (a refused trial is a ``failed`` row).
+core this process may use, the calling thread counted (the PROJCLUST_THREADS
+environment variable overrides the count), and OpenBLAS runs on one thread
+unless the caller sets OPENBLAS_NUM_THREADS (see the package's ``__init__``).
+Every experiment is deterministic given its --seed: work items draw from
+per-index generator streams, and the pool never changes the output ordering,
+so result files are byte-identical across runs and pool sizes.  ``preserve``
+draws each trial's data in the first of its tasks to run and drops them after
+the last, so it holds about one dataset per busy thread.  ``coreset`` and
+``preserve`` share ``_target_dims`` (t by one rule, each in [1, d]),
+``_trial_map`` (maps from the streams past --trials) and ``_or_failed`` (a
+refused trial is a ``failed`` row).
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 
@@ -48,15 +51,45 @@ def _num_threads():
 
 
 def _run_tasks(worker, tasks):
-    """Map worker over tasks, preserving order regardless of thread count."""
+    """``[worker(t) for t in tasks]`` on the calling thread and
+    ``workers - 1`` more, each taking the next task under one lock, so the
+    results keep the task order whatever the thread count.  After an error no
+    task starts; once the started ones end, the error of the lowest failing
+    task is raised."""
     workers = min(_num_threads(), max(len(tasks), 1))
     if workers <= 1:
         return [worker(t) for t in tasks]
+    results = [None] * len(tasks)
+    errors = {}
+    lock = threading.Lock()
+    upcoming = iter(range(len(tasks)))
+
+    def drain():
+        while True:
+            with lock:
+                i = None if errors else next(upcoming, None)
+            if i is None:
+                return
+            try:
+                results[i] = worker(tasks[i])
+            except BaseException as err:    # re-raised below, on the caller
+                with lock:
+                    errors[i] = err
+
     # Worth its memory: numpy releases the GIL, so counterexample
     # (n = 10^6, t = 3, 10 trials) runs 1.8x faster on 2 cores than on 1
     # (0.94 against 0.54 s, median of 5 whole commands on a 2-vCPU host).
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        drain()
+    finally:
+        for h in helpers:
+            h.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _solve(args, data):
@@ -105,7 +138,9 @@ def _zero_floor(data, z):
     """The largest cost of ``data`` that :func:`_safe_ratio` reads as 0."""
     pts = geometry._points_of(data)
     w = data.weights if isinstance(data, geometry.WeightedSet) else None
-    spread = np.linalg.norm(pts - np.average(pts, axis=0, weights=w), axis=1)
+    # np.linalg.norm(c, axis=1) by its own arithmetic, squaring c in place
+    c = pts - np.average(pts, axis=0, weights=w)
+    spread = np.sqrt(np.add.reduce(np.multiply(c, c, out=c), axis=1))
     return _ZERO_COST_SHARE * geometry._pow_sum(data, spread, z) ** (1.0 / z)
 
 
@@ -141,10 +176,18 @@ def _quantiles(values):
 # synthetic instances
 
 
+# Each generator sums into one buffer in the order of operations of
+# ``a + b + noise``: IEEE addition and multiplication commute, so the bits
+# are those of the expression, without its temporaries.
+
+
 def make_gaussian_mixture(n, d, k, noise, rng):
     centers = rng.normal(0.0, 5.0, (k, d))
     labels = rng.integers(0, k, n)
-    return Dataset(centers[labels] + rng.normal(0.0, noise, (n, d)))
+    pts = rng.normal(0.0, noise, (n, d))
+    for b in range(k):
+        np.add(pts, centers[b], out=pts, where=(labels == b)[:, None])
+    return Dataset._own(pts)
 
 
 def _random_basis(k, d, rng):
@@ -155,15 +198,17 @@ def _random_basis(k, d, rng):
 
 def make_near_subspace(n, d, k, noise, rng):
     basis = _random_basis(k, d, rng)
-    coeffs = rng.normal(0.0, 3.0, (n, k))
-    return Dataset(coeffs @ basis + rng.normal(0.0, noise, (n, d)))
+    pts = rng.normal(0.0, 3.0, (n, k)) @ basis
+    pts += rng.normal(0.0, noise, (n, d))
+    return Dataset._own(pts)
 
 
 def make_near_flat(n, d, k, noise, rng):
     basis = _random_basis(k, d, rng)
-    coeffs = rng.normal(0.0, 3.0, (n, k))
-    shift = rng.normal(0.0, 3.0, d)
-    return Dataset(coeffs @ basis + shift + rng.normal(0.0, noise, (n, d)))
+    pts = rng.normal(0.0, 3.0, (n, k)) @ basis
+    pts += rng.normal(0.0, 3.0, d)
+    pts += rng.normal(0.0, noise, (n, d))
+    return Dataset._own(pts)
 
 
 def make_near_lines(n, d, k, noise, rng):
@@ -172,8 +217,11 @@ def make_near_lines(n, d, k, noise, rng):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = rng.integers(0, k, n)
     steps = rng.uniform(-5.0, 5.0, n)
-    pts = anchors[labels] + steps[:, None] * dirs[labels]
-    return Dataset(pts + rng.normal(0.0, noise, (n, d)))
+    pts = dirs[labels]
+    pts *= steps[:, None]
+    pts += anchors[labels]
+    pts += rng.normal(0.0, noise, (n, d))
+    return Dataset._own(pts)
 
 
 # `gen --kind` names of the seeded synthetic instances
@@ -309,40 +357,52 @@ def cmd_coreset(args):
 def cmd_preserve(args):
     """Ratio of the solver optimum after projection to the optimum before."""
     ts = _target_dims(args, args.n, args.d)
-    trials = args.trials
+    trials, per = args.trials, 1 + len(ts)
     make = _INSTANCE_FOR_PROBLEM[args.problem]
-    datasets = _run_tasks(
-        lambda trial: make(args.n, args.d, args.k, 1.0, rng_stream(args.seed, trial)),
-        list(range(trials)))
+    held, left = [None] * trials, [per] * trials
+    locks = [threading.Lock() for _ in range(trials)]
 
     def solve_task(j):
-        """Task j < trials is trial j's full solve; task j >= trials projects
-        trial j % trials to ts[j // trials - 1] by the map of stream j.  Each
-        gives its report (the cost of a full solve) and its points' floor."""
-        data = datasets[j % trials]
-        if j < trials:
-            return float(_solve(args, data).cost), _zero_floor(data, args.z)
-        pi = _trial_map(args, args.d, ts[j // trials - 1], j)
-        pdata = jl.apply(pi, data)
-        return _or_failed(_solve, args, pdata), _zero_floor(pdata, args.z)
+        """Task j is step s = j % per of trial j // per: s = 0 is the trial's
+        full solve, s >= 1 projects it to ts[s - 1] by the map of stream
+        s * trials + trial.  The first of a trial's tasks to run draws its
+        data from stream trial, and the last to end drops them.  Each gives
+        its report (the cost of a full solve) and its points' floor."""
+        trial, s = divmod(j, per)
+        with locks[trial]:
+            if held[trial] is None:
+                held[trial] = make(args.n, args.d, args.k, 1.0, rng_stream(args.seed, trial))
+            data = held[trial]
+        try:
+            if s == 0:
+                return float(_solve(args, data).cost), _zero_floor(data, args.z)
+            pdata = jl.apply(_trial_map(args, args.d, ts[s - 1], s * trials + trial), data)
+            return _or_failed(_solve, args, pdata), _zero_floor(pdata, args.z)
+        finally:
+            with locks[trial]:
+                left[trial] -= 1
+                if not left[trial]:
+                    held[trial] = None
 
-    # one task list, the larger full solves first, so that the pool is the
-    # only level of parallelism and no core idles while they run
-    solved = _run_tasks(solve_task, list(range((1 + len(ts)) * trials)))
+    # one task list, trial by trial, so that the pool is the only level of
+    # parallelism and a trial's data live only while its tasks run
+    solved = _run_tasks(solve_task, list(range(per * trials)))
 
     header = ["row", "problem", "n", "d", "k", "z", "t", "trial", "status",
               "method", "cost_original", "cost_projected", "ratio",
               "completed", "failed", "median", "p5", "p95"]
     rows = []
-    for j, (rep, floor) in enumerate(solved[trials:], start=trials):
-        cost_full, floor_full = solved[j % trials]
-        if rep is None:
-            res = ["failed", None, cost_full, None, None]
-        else:
-            res = ["ok", rep.method, cost_full, float(rep.cost),
-                   _safe_ratio(float(rep.cost), cost_full, (floor, floor_full))]
-        rows.append(["record", args.problem, args.n, args.d, args.k, args.z,
-                     ts[j // trials - 1], j % trials, *res, None, None, None, None, None])
+    for s, t in enumerate(ts, start=1):
+        for trial in range(trials):
+            cost_full, floor_full = solved[trial * per]
+            rep, floor = solved[trial * per + s]
+            if rep is None:
+                res = ["failed", None, cost_full, None, None]
+            else:
+                res = ["ok", rep.method, cost_full, float(rep.cost),
+                       _safe_ratio(float(rep.cost), cost_full, (floor, floor_full))]
+            rows.append(["record", args.problem, args.n, args.d, args.k, args.z,
+                         t, trial, *res, None, None, None, None, None])
     for ti, t in enumerate(ts):
         ok = [r for r in rows[ti * trials:(ti + 1) * trials] if r[8] == "ok"]
         ratios = [r[12] for r in ok if np.isfinite(r[12])]

@@ -47,6 +47,16 @@ class Dataset:
         self.points = _freeze(pts)
         self.n, self.d = pts.shape
 
+    @classmethod
+    def _own(cls, points):
+        """A Dataset that takes ``points``, a fresh float64 array, without
+        :func:`_freeze`'s copy; the checks still run."""
+        data = cls.__new__(cls)
+        data.points = _as_matrix(points)
+        data.points.setflags(write=False)
+        data.n, data.d = data.points.shape
+        return data
+
     def __len__(self):
         return self.n
 
@@ -321,9 +331,12 @@ def _sq_dists_to_centers(xc, cc, xsq):
     ``xc``.  Both should be taken about one point near the rows, as
     :func:`_centered` gives them.  The centers enter the product as a (d, k)
     copy, which OpenBLAS multiplies about twice as fast as the transposed view
-    (2000 x 100 rows, k = 5)."""
+    (2000 x 100 rows, k = 5).  The sum is formed in one result buffer, the
+    product doubled in place, in the order of operations of the expression."""
     prod = xc @ np.ascontiguousarray(cc.T)
-    sq = xsq[:, None] + np.einsum("ij,ij->i", cc, cc)[None, :] - 2.0 * prod
+    prod *= 2.0
+    sq = np.add(xsq[:, None], np.einsum("ij,ij->i", cc, cc)[None, :])
+    sq -= prod
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -503,28 +516,42 @@ def _write_csv(path, header, rows):
 
 
 def read_points(path):
-    """Read an (n, d) float array written by :func:`write_points`."""
-    rows = []
+    """Read an (n, d) float array written by :func:`write_points`.
+
+    The array is allocated at the first data row and filled as each row is
+    read, so the text is never held whole.  Past the first bad row, or the
+    n-th row, rows are only counted: a wrong row count outranks a failed
+    allocation, which outranks a bad row, and the first bad row a later one."""
+    out, found, err = None, 0, None
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        lines = (s for s in (raw.strip() for raw in fh) if s and not s.startswith("#"))
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: no data lines")
+        head = header.split()
+        if len(head) != 2:
+            raise ValueError(f"{path}: header must be 'n d', got {header!r}")
+        n, d = int(head[0]), int(head[1])
+        for i, line in enumerate(lines):
+            found = i + 1
+            if i >= n or err is not None:
                 continue
-            rows.append(line)
-    if not rows:
-        raise ValueError(f"{path}: no data lines")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'n d', got {rows[0]!r}")
-    n, d = int(head[0]), int(head[1])
-    if len(rows) - 1 != n:
-        raise ValueError(f"{path}: expected {n} data rows, found {len(rows) - 1}")
-    out = np.empty((n, d))
-    for i, line in enumerate(rows[1:]):
-        vals = line.split()
-        if len(vals) != d:
-            raise ValueError(f"{path}: row {i} has {len(vals)} values, expected {d}")
-        out[i] = [float(v) for v in vals]
+            vals = line.split()
+            if len(vals) != d:
+                err = ValueError(f"{path}: row {i} has {len(vals)} values, expected {d}")
+                continue
+            try:
+                if out is None:
+                    out = np.empty((n, d))
+                out[i] = [float(v) for v in vals]
+            except (ValueError, MemoryError) as bad:
+                err = bad
+    if found != n:
+        raise ValueError(f"{path}: expected {n} data rows, found {found}")
+    if out is None:     # no row stored: the allocation fails first (on a d < 0, say)
+        out = np.empty((n, d))
+    if err is not None:
+        raise err
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{path}: non-finite values")
     return out

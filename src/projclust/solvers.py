@@ -11,7 +11,8 @@ SVD, least-squares line), iteratively reweighted least squares
 at z > 2, for centers, subspaces and flats alike.  Every search takes
 ``restarts`` starts, start r drawn from stream r of ``seed``, through one
 restart loop.  Every solve returns a :class:`SolveReport` whose stated cost
-is re-evaluated through :func:`projclust.geometry.cost_pow`.
+is re-evaluated through :func:`projclust.geometry.cost_pow`, once the
+search's own buffers are freed.
 """
 
 import numpy as np
@@ -226,12 +227,13 @@ def _alternate(shapes, sq_dists, refit, revive):
         sq = sq_dists(shapes)
         assign = np.argmin(sq, axis=1)
         sizes = np.bincount(assign, minlength=k)
-        for b in range(k):
-            if sizes[b] == 0:
-                shapes[b] = revive(int(np.argmax(geometry._nearest(sq, assign))), shapes[b])
-                sq = sq_dists(shapes)
-                assign = np.argmin(sq, axis=1)
-                sizes = np.bincount(assign, minlength=k)
+        if not sizes.all():
+            for b in range(k):
+                if sizes[b] == 0:
+                    shapes[b] = revive(int(np.argmax(geometry._nearest(sq, assign))), shapes[b])
+                    sq = sq_dists(shapes)
+                    assign = np.argmin(sq, axis=1)
+                    sizes = np.bincount(assign, minlength=k)
         if prev is not None and np.array_equal(assign, prev):
             return shapes, True, sq
         prev = assign
@@ -266,14 +268,15 @@ def _per_group(pts, w, refit_one):
     return refit
 
 
-def _best_of_restarts(problem, data, z, restarts, fit, method, rank=None):
-    """Report on the cheapest ``fit(r)`` over r < restarts.
+def _best_of_restarts(problem, data, z, restarts, fit, rank=None):
+    """(solution, converged) of the cheapest ``fit(r)`` over r < restarts.
 
     ``fit(r)`` returns (solution, converged, sq): ``sq`` is the (n, k)
     squared-distance matrix of the solution, which scores it without a
     second :func:`geometry.cost_pow` pass, or None.  The first restart fitted
     wins ties.  Given ``rank``, every restart is scored by ``rank(r)`` and
     only the _POLISHED lowest (ties to the lower r) are fitted, lowest first.
+    The caller reports on the winner once its search buffers are gone.
     """
     tried = range(restarts) if rank is None else sorted(range(restarts), key=rank)[:_POLISHED]
     best = (np.inf, None, False)
@@ -285,7 +288,7 @@ def _best_of_restarts(problem, data, z, restarts, fit, method, rank=None):
             cp = geometry._pow_sum(data, geometry._nearest(sq), z)
         if cp < best[0]:
             best = (cp, sol, converged)
-    return _report(problem, data, best[1], z, method, restarts, best[2])
+    return best[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +345,22 @@ def _lloyd(data, pts, w, k, z, restarts, seed):
     if z == 2.0:
         rows = np.arange(n)
         weights = np.zeros((k, n))
+        positive = w > 0
 
         def refit(assign, sizes, centers):
             weights.fill(0.0)
             weights[assign, rows] = w
             mass = np.bincount(assign, weights=w, minlength=k)
-            held = mass > 0
-            new = np.array(centers)
-            new[held] = (weights @ xc)[held] / mass[held, None] + m
-            lone = np.flatnonzero((sizes[assign] == 1) & (w > 0))
-            new[assign[lone]] = pts[lone]
+            sums = weights @ xc
+            if mass.all():
+                new = sums / mass[:, None] + m
+            else:
+                held = mass > 0
+                new = np.array(centers)
+                new[held] = sums[held] / mass[held, None] + m
+            if (sizes == 1).any():
+                lone = np.flatnonzero((sizes[assign] == 1) & positive)
+                new[assign[lone]] = pts[lone]
             return new
     else:
         refit = _per_group(pts, w, lambda gp, gw, c: _center(gp, gw, z))
@@ -359,11 +368,13 @@ def _lloyd(data, pts, w, k, z, restarts, seed):
     def fit(r):
         centers, converged, sq = _alternate(
             pts[_dz_seed(xc, xsq, w, k, z, rng_stream(seed, r))],
-            lambda cs: geometry._sq_dists_to_centers(xc, np.array(cs) - m, xsq),
+            lambda cs: geometry._sq_dists_to_centers(xc, np.asarray(cs) - m, xsq),
             refit, lambda i, c: pts[i])
-        return CenterSet(np.array(centers)), converged, sq
+        return CenterSet(centers), converged, sq
 
-    return _best_of_restarts("clustering", data, z, restarts, fit, "lloyd-multirestart")
+    sol, converged = _best_of_restarts("clustering", data, z, restarts, fit)
+    del xc, refit       # the centered copy (and z != 2's gather buffer), before the report's
+    return _report("clustering", data, sol, z, "lloyd-multirestart", restarts, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +530,12 @@ def _frame(problem, data, pts, w, k, z, restarts, seed):
         a, b, _, converged = fit(pts, w, k, z, *starts[r], affine)
         return solution(a, b), converged, None
 
-    return _best_of_restarts(
+    sol, converged = _best_of_restarts(
         problem, data, z, restarts, polish,
-        "span-search+irls" if z < 2.0 else "span-search+descent",
         rank=lambda r: _subspace_cost(pts - starts[r][0], w, starts[r][1], z))
+    return _report(problem, data, sol, z,
+                   "span-search+irls" if z < 2.0 else "span-search+descent",
+                   restarts, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +587,9 @@ def _lines_alternating(data, pts, w, k, z, restarts, seed):
             lambda i, ln: Line.canonical(pts[i], ln.direction))
         return LineSet(lines), converged, sq
 
-    return _best_of_restarts("lines", data, z, restarts, fit, "alternating-multirestart")
+    sol, converged = _best_of_restarts("lines", data, z, restarts, fit)
+    del refit           # and with it the gather buffer, before the report's copies
+    return _report("lines", data, sol, z, "alternating-multirestart", restarts, converged)
 
 
 def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):

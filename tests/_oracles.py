@@ -510,9 +510,10 @@ def _ref_frame_search(problem, data, pts, w, k, z, restarts, seed, first, polish
             basis = geometry._orthonormal_rows(
                 np.vstack([basis, rng.normal(size=(k - basis.shape[0], d))]))
         starts.append((anchor, basis[:k]))
-    return _best_of_restarts(
-        problem, data, z, restarts, lambda r: (*polish(*starts[r]), None), method,
+    sol, converged = _best_of_restarts(
+        problem, data, z, restarts, lambda r: (*polish(*starts[r]), None),
         rank=lambda r: _subspace_cost(pts - starts[r][0], w, starts[r][1], z))
+    return _report(problem, data, sol, z, method, restarts, converged)
 
 
 def ref_subspace(data, k, z, restarts, seed):

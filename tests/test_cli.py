@@ -3,6 +3,9 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -541,6 +544,58 @@ def test_preserve_failed_rows_byte_identical_across_thread_counts(tmp_path, monk
         [("2", "failed")] * 3 + [("3", "failed")] * 3 + [("5", "ok")] * 3)
 
 
+def test_preserve_draws_each_trials_data_once_at_any_thread_count(tmp_path, monkeypatch):
+    # more threads than cores and a short switch interval: a draw outside the
+    # per-trial lock would show as a second draw of some trial
+    real = cli._INSTANCE_FOR_PROBLEM["clustering"]
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setitem(cli._INSTANCE_FOR_PROBLEM, "clustering", counted)
+    args = ["preserve", "--problem", "clustering", "--n", "30", "--d", "6", "--k", "2",
+            "--t-list", "2,3,4", "--trials", "12", "--restarts", "2", "--seed", "5"]
+    outs = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "8"):
+            draws.clear()
+            monkeypatch.setenv("PROJCLUST_THREADS", threads)
+            path = tmp_path / f"{threads}.csv"
+            assert main(args + ["--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+            assert len(draws) == 12
+    finally:
+        sys.setswitchinterval(old)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_preserve_holds_about_one_dataset_per_thread(tmp_path, monkeypatch, workers):
+    """12 trials of 2000 x 50 points stay below 2W + 1 dataset-sizes on W
+    threads.  A busy thread holds its trial's dataset (1) and one working
+    copy of the points it solves (1): Lloyd's centered copy, freed before
+    the report takes its own, or the floor's temporary; a projected task's
+    points and copies are t/d <= 0.2 of a dataset.  The 1 more covers the
+    (n, k) and (k, n) terms, the projections, and a trial whose data wait
+    for its last task.  Holding every trial's data would read 12 or more."""
+    n, d = 2000, 50
+    monkeypatch.setenv("PROJCLUST_THREADS", str(workers))
+    args = ["preserve", "--problem", "clustering", "--d", str(d), "--k", "3",
+            "--t-list", "5,10", "--trials", "12", "--restarts", "3"]
+    assert main(args + ["--n", "50", "--out", str(tmp_path / "warm.csv")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(args + ["--n", str(n), "--out", str(tmp_path / "p.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * workers + 1) * n * d * 8
+
+
 def test_preserve_refused_full_solve_exits_2(tmp_path, capsys):
     # a 3-subspace of R^3 is refused by the full solve, which ends the run
     out = tmp_path / "r.csv"
@@ -622,6 +677,68 @@ def test_pool_defaults_to_the_usable_cores(monkeypatch):
     assert cli._num_threads() == 8          # a platform without affinity
     monkeypatch.setenv("PROJCLUST_THREADS", "3")
     assert cli._num_threads() == 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_run_tasks_keeps_the_task_order(monkeypatch, threads):
+    monkeypatch.setenv("PROJCLUST_THREADS", threads)
+
+    def work(i):
+        time.sleep(0.001 * (i * 7 % 5))         # tasks end out of order
+        return i * i
+
+    assert cli._run_tasks(work, list(range(30))) == [i * i for i in range(30)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_run_tasks_raises_the_lowest_failing_tasks_error(monkeypatch, threads):
+    monkeypatch.setenv("PROJCLUST_THREADS", threads)
+    started = []
+
+    def work(i):
+        started.append(i)
+        if i == 1:
+            time.sleep(0.05)                    # on 2 threads or more, task 3 fails first
+            raise ValueError("task 1")
+        if i == 3:
+            raise KeyError("task 3")
+        time.sleep(0.001)
+        return i
+
+    with pytest.raises(ValueError, match="task 1"):
+        cli._run_tasks(work, list(range(100)))
+    assert len(started) < 100                   # no task starts after an error
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_tasks_runs_on_the_caller_and_threads_minus_one_more(monkeypatch, threads):
+    monkeypatch.setenv("PROJCLUST_THREADS", str(threads))
+
+    def work(i):
+        time.sleep(0.002)
+        return threading.get_ident()
+
+    idents = set(cli._run_tasks(work, list(range(30))))
+    assert threading.get_ident() in idents and len(idents) <= threads
+
+
+def test_run_tasks_runs_every_task_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a task index
+    # taken twice, or skipped, would break the invariant
+    monkeypatch.setenv("PROJCLUST_THREADS", "8")
+    ran = []
+
+    def work(i):
+        ran.append(i)
+        return i
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = cli._run_tasks(work, list(range(2000)))
+    finally:
+        sys.setswitchinterval(old)
+    assert out == list(range(2000)) and sorted(ran) == out
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +898,18 @@ def test_import_loads_no_scipy():
     env = _env_with_src()
     code = ("import sys, projclust, projclust.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_executor_or_logging():
+    # the pool is plain threads; concurrent.futures would also load logging
+    env = _env_with_src()
+    code = ("import sys, projclust.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'logging')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

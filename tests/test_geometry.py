@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,7 @@ from projclust.geometry import (
     Dataset, WeightedSet, CenterSet, Subspace, Flat, Line, LineSet,
     project_subspace, project_flat, project_line,
     distances, assignment, cost_pow, cost,
-    read_dataset, write_points, _write_csv, _nearest,
+    read_dataset, read_points, write_points, _write_csv, _nearest,
 )
 
 
@@ -375,6 +377,30 @@ def test_dataset_read_errors(tmp_path):
     p.write_text("# only comments\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_dataset(p)
+
+
+def test_dataset_read_counts_rows_past_n(tmp_path):
+    p = tmp_path / "long.txt"
+    p.write_text("2 2\n1.0 2.0\n3.0 4.0\n5.0 6.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected 2 data rows, found 3"):
+        read_dataset(p)
+
+
+def test_read_points_memory_stays_near_one_array(tmp_path):
+    # the array is filled row by row; holding the text lines would cost
+    # several array-sizes
+    n, d = 20_000, 20
+    p = tmp_path / "big.txt"
+    pts = np.random.default_rng(27).normal(size=(n, d))
+    write_points(p, pts)
+    tracemalloc.start()
+    try:
+        back = read_points(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    npt.assert_array_equal(back, pts)
+    assert peak < 1.5 * n * d * 8
 
 
 def test_csv_fields_are_plain_reprs_of_numpy_values(tmp_path):
