@@ -515,8 +515,8 @@ def _render_svg(path, ts, med, lo, hi, title):
 
 
 def _count(text):
-    """An argparse type for counts (--n, --d, --k, --m, --trials, and --t of
-    counterexample and the --t-list entries): an int >= 1."""
+    """An argparse type for counts (--n, --d, --k, --m, --trials, --restarts,
+    and --t of counterexample and the --t-list entries): an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -537,7 +537,7 @@ def _dims(text):
 def _solver_options(g):
     g.add_argument("--method", default="auto",
                    choices=["auto", "exact", "heuristic"])
-    g.add_argument("--restarts", type=int, default=20)
+    g.add_argument("--restarts", type=_count, default=20)
     g.add_argument("--seed", type=int, default=0)
 
 

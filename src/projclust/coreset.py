@@ -10,8 +10,9 @@ weighted proxy set with an unbiased cost estimate.
 import numpy as np
 
 from . import geometry
-from .geometry import Line, LineSet, project_line
+from .geometry import LineSet, project_line
 from ._rng import rng_stream
+from .solvers import _fit_line
 
 # Inflating a covering interval (or cylinder radius) by this factor is what
 # the recursive construction guarantees to survive.
@@ -88,21 +89,20 @@ def line_coreset_1d(y, k):
     For k = 1 the two extreme points suffice; in general the set has size
     O(log n)^k via a halving recursion that keeps, at every level, the two
     extremes and the median point of the current range.  The points must lie
-    on their fitted line as :func:`line_coreset_klines` requires.
+    on their least-squares line, the solvers' one fit, as
+    :func:`line_coreset_klines` requires.
     """
     pts = geometry._points_of(y)
     k = int(k)
     if k < 1:
         raise ValueError("k must be positive")
-    # the mean and the top right singular vector, e_0 if all points coincide
-    center, n = pts.mean(axis=0), pts.shape[0]
-    _, s, vt = np.linalg.svd(pts - center, full_matrices=False)
-    line = Line.canonical(center, vt[0] if s[0] > 0.0 else np.eye(1, pts.shape[1])[0])
+    n = pts.shape[0]
+    line = _fit_line(pts, np.ones(n))
     groups = _line_groups(pts, LineSet([line]), np.zeros(n, dtype=np.int64))
     return _klines(groups, np.ones(n, dtype=bool), k)
 
 
-def _coreset_1d(positions, k, sweeps=None):
+def _coreset_1d(positions, k, sweeps):
     """:func:`line_coreset_1d` on the points' 1-d coordinates along their
     line; ``sweeps`` is as for :func:`_canonical_order`."""
     order, pos_sorted = _canonical_order(positions, sweeps)
@@ -117,18 +117,19 @@ def _sweeps(positions):
     return np.lexsort((idx, positions)), np.lexsort((idx, -positions))
 
 
-def _canonical_order(positions, sweeps=None):
+def _canonical_order(positions, sweeps):
     """Sorted order that any invertible affine reparametrization reproduces.
 
-    Both sweep directions are sorted with index tie-breaks and the one whose
-    index sequence is lexicographically smaller wins; a linear map can only
-    swap the two sweeps, so the chosen order is reparametrization-stable.
-    ``sweeps`` may give both sweeps of some of the points, as indices into
-    ``positions``; then only those are ordered.  Dropping points from the
-    sweeps of all of them keeps the index order that breaks ties, so it
-    yields the sweeps of the points left without sorting again.
+    ``sweeps`` holds both sweep directions, as :func:`_sweeps` sorts them
+    with index tie-breaks, and the one whose index sequence is
+    lexicographically smaller wins; a linear map can only swap the two
+    sweeps, so the chosen order is reparametrization-stable.  The sweeps may
+    cover only some of the points, as indices into ``positions``; then only
+    those are ordered.  Dropping points from the sweeps of all of them keeps
+    the index order that breaks ties, so it yields the sweeps of the points
+    left without sorting again.
     """
-    fwd, rev = _sweeps(positions) if sweeps is None else sweeps
+    fwd, rev = sweeps
     first = int(np.argmax(fwd != rev))   # 0 when the sweeps agree throughout
     if fwd[first] <= rev[first]:
         return fwd, positions[fwd]
@@ -208,15 +209,17 @@ def _checked_labels(lines, labels, n):
 def _line_groups(pts, lines, labels):
     """Per line with points, in line order: the indices of its points and,
     for each of them, the distance to the line, the norm and the position
-    along the line, and both sweeps of the positions.  None of these depends
-    on which other points are left, so peeling computes them once."""
+    along the line, and both sweeps of the positions.  Positions are measured
+    from the mean of the line's points, so their gaps round on the scale of
+    the points' spread, not of their distance from the origin.  None of these
+    depends on which other points are left, so peeling computes them once."""
     groups = []
     for j, ln in enumerate(lines.lines):
         idxs = np.flatnonzero(labels == j)
         if idxs.size == 0:
             continue
         sub = pts[idxs]
-        pos = (sub - ln.anchor) @ ln.direction
+        pos = (sub - sub.mean(axis=0)) @ ln.direction
         groups.append((idxs,
                        np.linalg.norm(sub - project_line(sub, ln), axis=1),
                        np.linalg.norm(sub, axis=1),

@@ -341,13 +341,6 @@ def _sq_dists_to_centers(xc, cc, xsq):
     return sq
 
 
-def _sq_dists_about_the_rows(pts, centers):
-    """The (n, k) squared distances of the rows to the centers, expanded
-    about :func:`_centered`'s point; its centered copy is freed on return."""
-    xc, xsq, m = _centered(pts)
-    return _sq_dists_to_centers(xc, centers - m, xsq)
-
-
 def _sq_dists_to_lines(pts, lines):
     # squares of the residuals themselves; |w|^2 - <w, u>^2 cancels
     # catastrophically for points on or near a line
@@ -392,7 +385,9 @@ def _match(problem, pts, solution):
         feet = (project_subspace if problem == "subspace" else project_flat)(pts, solution)
         return np.zeros(len(pts), dtype=np.intp), feet, np.linalg.norm(pts - feet, axis=1)
     if problem == "clustering":
-        labels = np.argmin(_sq_dists_about_the_rows(pts, solution.centers), axis=1)
+        xc, xsq, m = _centered(pts)
+        labels = np.argmin(_sq_dists_to_centers(xc, solution.centers - m, xsq), axis=1)
+        del xc              # the centered copy, before the feet's buffer
         # the residual to the chosen center, worked in the feet's buffer: 0 on
         # a center, where the expansion leaves rounding of u |x - m|^2; with
         # mode="clip" take refills it without a buffer (labels are in range)

@@ -25,18 +25,17 @@ class JLMap:
         self._take(np.array(matrix, dtype=np.float64), seed)   # a private copy
 
     @classmethod
-    def _own(cls, matrix, seed, checked=False):
-        """A map that takes ``matrix``, a fresh float64 array, without a copy;
-        ``checked`` says :func:`_checked_finite` has already read it."""
+    def _own(cls, matrix, seed):
+        """A map that takes ``matrix``, a fresh float64 array, without a copy."""
         pi = cls.__new__(cls)
-        pi._take(matrix, seed, checked)
+        pi._take(matrix, seed)
         return pi
 
-    def _take(self, m, seed, checked=False):
+    def _take(self, m, seed):
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"matrix must be a non-empty 2-d array, got shape {m.shape}")
-        if not checked:
-            _checked_finite(m)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix must contain only finite values")
         self.matrix = m
         self.matrix.setflags(write=False)
         self.t, self.d = m.shape
@@ -46,26 +45,20 @@ class JLMap:
         return f"JLMap(t={self.t}, d={self.d}, seed={self.seed})"
 
 
-def _checked_finite(m):
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix must contain only finite values")
-    return m
-
-
 def _draw(d, t, seed, stream=0):
-    """The (t, d) matrix of :func:`sample_jl`, checked finite and still
-    writable: a fresh array for a caller that transforms it in place."""
+    """The (t, d) matrix of :func:`sample_jl`, still writable: a fresh
+    array for a caller that transforms it in place."""
     d = int(d)
     t = int(t)
     if d < 1 or t < 1:
         raise ValueError("d and t must be positive")
     rng = rng_stream(seed, stream)
-    return _checked_finite(rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, d)))
+    return rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, d))
 
 
 def sample_jl(d, t, seed, stream=0):
     """Draw a t x d map with i.i.d. N(0, 1/t) entries, deterministic in (seed, stream)."""
-    return JLMap._own(_draw(d, t, seed, stream), seed, checked=True)
+    return JLMap._own(_draw(d, t, seed, stream), seed)
 
 
 def identity_map(d):
@@ -75,14 +68,12 @@ def identity_map(d):
 
 def apply(pi, x):
     """Apply a map to a vector, an (n, d) array, a Dataset, or a WeightedSet."""
-    if isinstance(x, geometry.WeightedSet):
-        if x.d != pi.d:
-            raise ValueError(f"data dimension {x.d} != map input dimension {pi.d}")
-        return geometry.WeightedSet(x.points @ pi.matrix.T, x.weights)
     if isinstance(x, geometry.Dataset):
         if x.d != pi.d:
             raise ValueError(f"data dimension {x.d} != map input dimension {pi.d}")
-        return geometry.Dataset(x.points @ pi.matrix.T)
+        if isinstance(x, geometry.WeightedSet):
+            return geometry.WeightedSet(x.points @ pi.matrix.T, x.weights)
+        return geometry.Dataset._own(x.points @ pi.matrix.T)
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != pi.d:
         raise ValueError(f"input dimension {arr.shape[-1]} != map input dimension {pi.d}")

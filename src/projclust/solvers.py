@@ -178,20 +178,28 @@ def _best_partition(n, k, block_cost):
     return best[1]
 
 
-def _enumerate(problem, data, pts, w, k, z, fit):
+def _enumerate(problem, data, pts, w, k, z):
     """Report on the optimal clustering or lines solution over partitions.
 
-    Refuses n above the problem's cap.  A block of up to ``free`` points
-    (1 for clustering, 2 for lines) costs 0, so when k such blocks cover
-    the points they are the answer; otherwise :func:`_best_partition` picks
-    the blocks, each costing what its rows pay to ``fit(indices)``, its
-    center or line: sum w * |x - foot|^z.  Lines repeat the last one up to k.
+    Refuses lines at z != 2 (no closed-form fit), then n above the problem's
+    cap.  A block of up to ``free`` points (1 for clustering, 2 for lines)
+    costs 0, so when k such blocks cover the points they are the answer;
+    otherwise :func:`_best_partition` picks the blocks, each costing what its
+    rows pay to their fit, a :func:`_center` or a :func:`_fit_line`:
+    sum w * |x - foot|^z.  Lines repeat the last one up to k.
     """
     n = pts.shape[0]
+    if problem == "lines" and z != 2.0:
+        raise ValueError("exact line solving is available for z = 2 only")
     cap, free, name = {"clustering": (EXACT_CLUSTERING_MAX_N, 1, "clustering"),
                        "lines": (EXACT_LINES_MAX_N, 2, "line solving")}[problem]
     if n > cap:
         raise ValueError(f"exact {name} is limited to n <= {cap}, got n = {n}")
+
+    def fit(idx):
+        if problem == "clustering":
+            return _center(pts[idx], w[idx], z)
+        return _fit_line(pts[idx], w[idx])
 
     def block_cost(idx):
         if len(idx) <= free:
@@ -293,13 +301,6 @@ def _best_of_restarts(problem, data, z, restarts, fit, rank=None):
 
 # ---------------------------------------------------------------------------
 # Clustering
-
-
-def _clustering_exact(data, pts, w, k, z):
-    """Optimal power-z clustering: :func:`_enumerate` with one
-    :func:`_center` per block."""
-    return _enumerate("clustering", data, pts, w, k, z,
-                      lambda idx: _center(pts[idx], w[idx], z))
 
 
 def _dz_seed(xc, xsq, w, k, z, rng):
@@ -561,14 +562,6 @@ def _fit_line(pts, w, fallback_dir=None):
     return Line.canonical(centroid, evecs[:, -1] if evals[-1] > 0 else fallback_dir)
 
 
-def _lines_exact(data, pts, w, k, z):
-    """Optimal k lines for z = 2: :func:`_enumerate` with :func:`_fit_line`
-    per block (other powers have no closed-form fit)."""
-    if z != 2.0:
-        raise ValueError("exact line solving is available for z = 2 only")
-    return _enumerate("lines", data, pts, w, k, z, lambda idx: _fit_line(pts[idx], w[idx]))
-
-
 def _lines_alternating(data, pts, w, k, z, restarts, seed):
     """Alternating assign/refit search for k lines with random restarts.
 
@@ -630,10 +623,8 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
         return _frame(problem, data, pts, w, k, z, restarts, seed)
     exact = method == "exact" or (method == "auto" and z == 2.0
                                   and pts.shape[0] <= _AUTO_EXACT_MAX_N)
-    if problem == "clustering":
-        if exact:
-            return _clustering_exact(data, pts, w, k, z)
-        return _lloyd(data, pts, w, k, z, restarts, seed)
     if exact:
-        return _lines_exact(data, pts, w, k, z)
+        return _enumerate(problem, data, pts, w, k, z)
+    if problem == "clustering":
+        return _lloyd(data, pts, w, k, z, restarts, seed)
     return _lines_alternating(data, pts, w, k, z, restarts, seed)

@@ -160,9 +160,12 @@ def test_solve_refuses_bad_restarts_for_every_problem(tmp_path, capsys, problem)
     src = tmp_path / "s.txt"
     main(["gen", "--kind", "gaussian-mixture", "--n", "20", "--d", "4",
           "--k", "2", "--out", str(src)])
-    assert main(["solve", "--in", str(src), "--problem", problem, "--k", "2",
-                 "--restarts", "0", "--out", str(tmp_path / "sol.txt")]) == 2
-    assert "restarts must be positive" in capsys.readouterr().err
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--in", str(src), "--problem", problem, "--k", "2",
+              "--restarts", "0", "--out", str(tmp_path / "sol.txt")])
+    assert exc.value.code == 2
+    assert "error: argument --restarts: must be at least 1, got 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +255,9 @@ def test_coreset_flat_z1_byte_identical_across_thread_counts(tmp_path, monkeypat
     (["preserve", "--problem", "clustering", "--n", "10", "--t", "3"], "--d", "-1"),
     (["counterexample"], "--n", "0"),
     (["counterexample", "--n", "10"], "--t", "0"),
+    (["solve", "--problem", "clustering", "--k", "2"], "--restarts", "0"),
+    (["coreset", "--problem", "clustering", "--k", "2", "--m", "5"], "--restarts", "0"),
+    (["preserve", "--problem", "clustering", "--n", "10", "--t", "3"], "--restarts", "0"),
 ])
 def test_counts_below_one_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                        command, flag, value):

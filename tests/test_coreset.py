@@ -12,7 +12,7 @@ from projclust.coreset import (
     Coreset, sensitivity_sample,
     line_coreset_1d, line_coreset_klines, coreset_size_bound,
     PeelingPartition, peel_partition,
-    _canonical_order, _coreset_1d,
+    _canonical_order, _coreset_1d, _sweeps,
 )
 
 from _oracles import ref_recurse_1d
@@ -167,6 +167,26 @@ def test_line_coreset_far_from_the_origin():
         npt.assert_array_equal(line_coreset_1d(pts, 2), base)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [7, 9, 16, 33])
+def test_line_coreset_and_peeling_are_translation_invariant(k, n):
+    # Integer points, exact at every shift: equal gaps of 5 along the line
+    # through (4, -3) with direction (3, 4) / 5, moved along it by 2^j (3, 4).
+    # Positions measured from the line's anchor would round on the scale of
+    # the shift and break the ties differently.
+    base = np.multiply.outer(np.arange(n), [3.0, 4.0]) + [4.0, -3.0]
+    lines, labels = LineSet([Line.canonical([4.0, -3.0], [3.0, 4.0])]), np.zeros(n, dtype=int)
+    want = line_coreset_1d(base, k)
+    want_layers = peel_partition(base, lines, labels).layers
+    for j in range(10, 49, 2):
+        pts = base + 2.0 ** j * np.array([3.0, 4.0])
+        npt.assert_array_equal(line_coreset_1d(pts, k), want, err_msg=f"j = {j}")
+        layers = peel_partition(pts, lines, labels).layers
+        assert len(layers) == len(want_layers), f"j = {j}"
+        for got, exp in zip(layers, want_layers):
+            npt.assert_array_equal(got, exp, err_msg=f"j = {j}")
+
+
 def test_line_coreset_duplicate_points():
     pts = np.zeros((5, 2))
     got = line_coreset_1d(pts, 2)
@@ -290,7 +310,7 @@ def reference_peel(pts, lines, labels):
             idxs = remaining[labels[remaining] == j]
             if idxs.size:
                 pos = (pts[idxs] - ln.anchor) @ ln.direction
-                layer.append(idxs[_coreset_1d(pos, lines.k)])
+                layer.append(idxs[_coreset_1d(pos, lines.k, _sweeps(pos))])
         layers.append(np.sort(np.concatenate(layer)))
         remaining = np.setdiff1d(remaining, layers[-1], assume_unique=True)
     return PeelingPartition(layers, n)
@@ -359,15 +379,18 @@ def test_label_refusal_messages():
 
 def test_canonical_order_tie_break():
     # forward sweep wins: its index sequence [0, 1, 2] beats [2, 0, 1]
-    order, p = _canonical_order(np.array([0.0, 0.0, 1.0]))
+    pos = np.array([0.0, 0.0, 1.0])
+    order, p = _canonical_order(pos, _sweeps(pos))
     npt.assert_array_equal(order, [0, 1, 2])
     npt.assert_array_equal(p, [0.0, 0.0, 1.0])
     # reversed tie: the backward sweep [0, 1, 2] beats the forward [1, 2, 0]
-    order, p = _canonical_order(np.array([1.0, 0.0, 0.0]))
+    pos = np.array([1.0, 0.0, 0.0])
+    order, p = _canonical_order(pos, _sweeps(pos))
     npt.assert_array_equal(order, [0, 1, 2])
     npt.assert_array_equal(p, [-1.0, 0.0, 0.0])
     # all tied: both sweeps agree and the forward one is kept
-    order, p = _canonical_order(np.zeros(4))
+    pos = np.zeros(4)
+    order, p = _canonical_order(pos, _sweeps(pos))
     npt.assert_array_equal(order, [0, 1, 2, 3])
     assert not np.signbit(p).any()
     rng = np.random.default_rng(15)
@@ -377,7 +400,7 @@ def test_canonical_order_tie_break():
         fwd = np.lexsort((idx, pos))
         rev = np.lexsort((idx, -pos))
         want = fwd if list(fwd) <= list(rev) else rev
-        npt.assert_array_equal(_canonical_order(pos)[0], want)
+        npt.assert_array_equal(_canonical_order(pos, _sweeps(pos))[0], want)
 
 
 def test_peeling_partition_validation():
@@ -434,10 +457,10 @@ def test_recursion_matches_two_pass_reference(case):
     # the set chosen for a range only grows with k, so the bigger-gap side's
     # k - 1 pass adds nothing
     pos, k = case
-    order, p = _canonical_order(pos)
+    order, p = _canonical_order(pos, _sweeps(pos))
     want = set()
     ref_recurse_1d(order, p, 0, order.shape[0], k, want)
-    npt.assert_array_equal(_coreset_1d(pos, k), sorted(want))
+    npt.assert_array_equal(_coreset_1d(pos, k, _sweeps(pos)), sorted(want))
 
 
 @settings(max_examples=50, deadline=None)

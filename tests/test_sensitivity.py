@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from projclust import geometry
 from projclust.geometry import Dataset, CenterSet, Subspace, Flat, Line, LineSet
 from projclust.jl import sample_jl, identity_map
-from projclust.coreset import COVER_FACTOR, _coreset_1d
+from projclust.coreset import COVER_FACTOR, _coreset_1d, _sweeps
 from projclust.sensitivity import (
     SensitivityProfile,
     clustering_sensitivity, subspace_sensitivity, flat_sensitivity,
@@ -330,7 +330,7 @@ def long_way_line_profile(data, lines, z):
             idxs = remaining[group_of[remaining] == j]
             if idxs.size:
                 pos = (proj[idxs] - ln.anchor) @ ln.direction
-                layer.append(idxs[_coreset_1d(pos, k)])
+                layer.append(idxs[_coreset_1d(pos, k, _sweeps(pos))])
         layer = np.concatenate(layer)
         layer_index[layer] = depth
         remaining = np.setdiff1d(remaining, layer, assume_unique=True)
