@@ -49,10 +49,6 @@ class Coreset:
             raise ValueError("coreset indices out of range for this dataset")
         return geometry.WeightedSet(pts[self.indices], self.weights)
 
-    def to_csv(self, path):
-        geometry._write_csv(path, ["index", "weight"],
-                            zip(self.indices.tolist(), self.weights.tolist()))
-
     def __repr__(self):
         return f"Coreset(m={self.m})"
 
@@ -138,8 +134,6 @@ def _canonical_order(positions, sweeps):
 
 def _recurse_1d(order, p, a, b, k, out):
     n = b - a
-    if n <= 0:
-        return
     if n <= 2:
         for j in range(a, b):
             out.add(int(order[j]))
@@ -270,10 +264,6 @@ class PeelingPartition:
         self.n = n
         self.layer_index = layer_index
         self.layer_index.setflags(write=False)
-
-    def to_csv(self, path):
-        geometry._write_csv(path, ["index", "layer"],
-                            enumerate(self.layer_index.tolist()))
 
     def __repr__(self):
         return f"PeelingPartition(n={self.n}, layers={len(self.layers)})"

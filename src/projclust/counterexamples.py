@@ -96,6 +96,13 @@ def medoid_cost(points):
     a view that is C-contiguous when the points are the transpose of a map,
     with two-operand ``einsum`` reductions over its short axis: no BLAS call,
     no copy of the points and two n-vectors of memory besides them.
+
+    The expansion is about the origin, so its rounding error scales with
+    the rows' squared norms, not with their spread.  It suits rows near the
+    origin, as this module's instances are, and not rows far from it: on
+    200 standard Gaussian rows in R^5 shifted by 1e6 in every coordinate it
+    reads 2.5e-4 relative above the direct sum, and shifted by 1e8 it reads
+    3.9 times that sum.
     """
     xt = np.asarray(points, dtype=float).T
     norms_sq = np.einsum("ij,ij->j", xt, xt)

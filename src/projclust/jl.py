@@ -206,7 +206,7 @@ def distortion_range(pi, data):
     time, each block's pair differences held to about ``_PAIR_BLOCK``
     entries, so memory stays O(n d) however many pairs there are.
     """
-    pts = data.points if isinstance(data, geometry.Dataset) else np.asarray(data, dtype=np.float64)
+    pts = geometry._points_of(data)
     if pts.shape[1] != pi.d:
         raise ValueError(f"data dimension {pts.shape[1]} != map input dimension {pi.d}")
     proj = pts @ pi.matrix.T
@@ -227,15 +227,6 @@ def distortion_range(pi, data):
     if not los:
         raise ValueError("need at least one pair of distinct points")
     return float(np.min(los)), float(np.max(his))
-
-
-def is_bi_lipschitz(pi, data, eps):
-    """Whether every pairwise distance is preserved within a 1 + eps factor."""
-    eps = float(eps)
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    lo, hi = distortion_range(pi, data)
-    return hi <= 1.0 + eps and lo >= 1.0 / (1.0 + eps)
 
 
 def write_map(path, pi):

@@ -47,12 +47,6 @@ class SensitivityProfile:
         self.distribution = geometry._freeze(s / total)
         self.n = s.shape[0]
 
-    def to_csv(self, path):
-        """Write (index, sigma, sigma_tilde) rows with full float precision."""
-        geometry._write_csv(path, ["index", "sigma", "sigma_tilde"],
-                            zip(range(self.n), self.sigma.tolist(),
-                                self.distribution.tolist()))
-
     def __repr__(self):
         return f"SensitivityProfile(n={self.n}, total={self.total:.6g})"
 

@@ -86,25 +86,21 @@ def _center(pts, w, z):
     """:func:`opt_center` on checked (n, d) points, (n,) weights and z."""
     if pts.shape[0] == 1:
         return pts[0].copy()
-    if z == 2.0:
-        # np.average(pts, axis=0, weights=w) by the same arithmetic, without
-        # its argument checks; like it, refuses weights that sum to zero
-        total = w.sum()
-        if total == 0.0:
-            raise ZeroDivisionError("Weights sum to zero, can't be normalized")
-        return np.multiply(pts, w[:, None]).sum(axis=0) / total
-    empty = np.empty((0, pts.shape[1]))
-    if z > 2.0:
-        return _descent(pts, w, 0, z, np.average(pts, axis=0, weights=w), empty, True)[0]
     if z == 1.0 and pts.shape[1] == 1:
         return np.array([_weighted_median_1d(pts[:, 0], w)])
+    mean = np.average(pts, axis=0, weights=w)
+    if z == 2.0:
+        return mean
+    empty = np.empty((0, pts.shape[1]))
+    if z > 2.0:
+        return _descent(pts, w, 0, z, mean, empty, True)[0]
     # IRLS for a 0-flat; Weiszfeld's iteration at z = 1.  It stalls on a row
     # (which weighs in at the floor) even where leaving pays, and where the
     # cost is nearly flat (z near 1 on collinear rows).  So step from where
     # it stops towards the weighted mean the rows off the center ask for,
     # doubling the step while it gains (from 2^-30 of it on a row), and
     # start again from there while that gains more than _IRLS_TOL.
-    start = np.average(pts, axis=0, weights=w)
+    start = mean
     for _ in range(pts.shape[0]):
         c, _, val, _ = _irls(pts, w, 0, z, start, empty, True)
         r = _residuals(pts - c, empty)
@@ -186,7 +182,8 @@ def _enumerate(problem, data, pts, w, k, z):
     costs 0, so when k such blocks cover the points they are the answer;
     otherwise :func:`_best_partition` picks the blocks, each costing what its
     rows pay to their fit, a :func:`_center` or a :func:`_fit_line`:
-    sum w * |x - foot|^z.  Lines repeat the last one up to k.
+    sum w * |x - foot|^z.  A block whose rows all weigh 0 costs 0 and is
+    fitted at unit weights.  Lines repeat the last one up to k.
     """
     n = pts.shape[0]
     if problem == "lines" and z != 2.0:
@@ -197,9 +194,12 @@ def _enumerate(problem, data, pts, w, k, z):
         raise ValueError(f"exact {name} is limited to n <= {cap}, got n = {n}")
 
     def fit(idx):
+        bw = w[idx]
+        if not bw.any():        # rows that all weigh 0 cost 0 whatever the fit
+            bw = np.ones(len(idx))
         if problem == "clustering":
-            return _center(pts[idx], w[idx], z)
-        return _fit_line(pts[idx], w[idx])
+            return _center(pts[idx], bw, z)
+        return _fit_line(pts[idx], bw)
 
     def block_cost(idx):
         if len(idx) <= free:

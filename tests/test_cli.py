@@ -1,6 +1,10 @@
+import ast
 import csv
+import importlib
+import inspect
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -377,6 +381,18 @@ def test_preserve_records_and_summaries(tmp_path):
     assert all(0.5 < v < 2.0 for v in tall)
     svg = plot.read_text()
     assert svg.startswith("<svg") and "projection dimension" in svg
+
+
+def test_preserve_plot_of_one_dimension(tmp_path):
+    # one t is drawn at the middle of the axis: x = 60 + (640 - 60 - 20) / 2
+    out, plot = tmp_path / "r.csv", tmp_path / "r.svg"
+    assert main(["preserve", "--problem", "clustering", "--n", "30", "--d", "10",
+                 "--k", "2", "--t", "5", "--trials", "2", "--seed", "0",
+                 "--out", str(out), "--plot", str(plot)]) == 0
+    svg = plot.read_text()
+    assert svg.count("<circle") == 1 and '<circle cx="340.00"' in svg
+    assert '<text x="340.00" y="368" text-anchor="middle" font-family="sans-serif" ' \
+        'font-size="12">5</text>' in svg
 
 
 def test_preserve_identity_map_is_exact(tmp_path):
@@ -768,6 +784,15 @@ def test_counterexample_command(tmp_path, capsys):
     assert len({r[3] for r in rows}) == 8
 
 
+def test_counterexample_has_no_threshold_option(tmp_path, capsys):
+    # the printed counts are taken at the fixed 1.5 (medoid) and 1.25 (css)
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--n", "10", "--threshold", "2",
+              "--out", str(tmp_path / "c.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threshold 2" in capsys.readouterr().err
+
+
 def test_counterexample_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["counterexample", "--which", "medoid", "--n", "256", "--t", "3",
@@ -976,3 +1001,49 @@ def test_public_api_is_pinned():
         "counterexample_trial", "preset_t",
     ]
     assert all(hasattr(projclust, name) for name in projclust.__all__)
+
+
+def _defined_names(module):
+    """The public names a module's own top-level statements define."""
+    names = []
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
+
+
+def test_module_public_names_are_pinned():
+    # what each module defines outside the package's __all__ is tracked too;
+    # change this list only on purpose
+    pinned = {
+        "_rng": ["rng_stream"],
+        "cli": ["make_gaussian_mixture", "make_near_subspace", "make_near_flat",
+                "make_near_lines", "cmd_gen", "cmd_project", "cmd_solve",
+                "cmd_coreset", "cmd_preserve", "cmd_counterexample",
+                "build_parser", "main"],
+        "coreset": ["COVER_FACTOR", "Coreset", "sensitivity_sample", "line_coreset_1d",
+                    "coreset_size_bound", "line_coreset_klines", "PeelingPartition",
+                    "peel_partition"],
+        "counterexamples": ["gen_medoid_instance", "gen_css_instance", "medoid_cost",
+                            "css_cost", "medoid_optimum", "css_optimum", "RatioReport",
+                            "counterexample_trial"],
+        "geometry": ["PROBLEMS", "ORTHO_TOL", "UNIT_TOL", "Dataset", "WeightedSet",
+                     "CenterSet", "Subspace", "Flat", "Line", "LineSet",
+                     "project_subspace", "project_flat", "project_line", "distances",
+                     "assignment", "cost_pow", "cost", "write_points", "read_points",
+                     "read_dataset"],
+        "jl": ["JLMap", "sample_jl", "identity_map", "apply", "preset_t",
+               "moment_ratio_samples", "moment_bound_statistic", "moment_bound_threshold",
+               "is_subspace_embedding", "distortion_range", "write_map", "read_map"],
+        "sensitivity": ["SensitivityProfile", "clustering_sensitivity", "sup_ratios",
+                        "subspace_sensitivity", "flat_sensitivity", "line_sensitivity",
+                        "event_e4_statistic", "event_e4_bound"],
+        "solvers": ["EXACT_CLUSTERING_MAX_N", "EXACT_LINES_MAX_N", "SolveReport",
+                    "opt_center", "solve"],
+    }
+    modules = sorted(m.name for m in pkgutil.iter_modules(projclust.__path__))
+    assert modules == sorted(pinned)
+    for name in modules:
+        assert _defined_names(importlib.import_module(f"projclust.{name}")) == pinned[name], name

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projclust import coreset, geometry
-from projclust.geometry import Dataset, CenterSet, Line, LineSet, project_line, cost_pow
+from projclust import coreset
+from projclust.geometry import Dataset, CenterSet, Line, LineSet, cost_pow
 from projclust.sensitivity import SensitivityProfile, clustering_sensitivity
 from projclust.coreset import (
     Coreset, sensitivity_sample,
@@ -76,14 +76,6 @@ def test_coreset_validation_and_extract():
     npt.assert_array_equal(ws.weights, [0.5, 3.0])
     with pytest.raises(ValueError):
         cs.extract(np.zeros((2, 2)))
-
-
-def test_coreset_csv(tmp_path):
-    cs = Coreset([3, 1], [2.0, 0.25])
-    path = tmp_path / "cs.csv"
-    cs.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,weight" and lines[1] == "3,2.0" and lines[2] == "1,0.25"
 
 
 def test_sensitivity_sample_weights_and_determinism():
@@ -412,13 +404,6 @@ def test_peeling_partition_validation():
         PeelingPartition([[0], []], 1)
     with pytest.raises(ValueError):
         PeelingPartition([[0, 5]], 2)
-
-
-def test_peeling_csv(tmp_path):
-    part = PeelingPartition([[1, 2], [0]], 3)
-    path = tmp_path / "peel.csv"
-    part.to_csv(path)
-    assert path.read_text() == "index,layer\n0,2\n1,1\n2,1\n"
 
 
 def test_klines_commutes_with_linear_map():

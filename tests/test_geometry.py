@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from projclust import jl, sensitivity
 from projclust.geometry import (
     Dataset, WeightedSet, CenterSet, Subspace, Flat, Line, LineSet,
     project_subspace, project_flat, project_line,
@@ -44,6 +45,66 @@ def test_weighted_set_validation():
         WeightedSet([[0.0], [1.0]], [0.0, 0.0])
     ws = WeightedSet([[0.0], [1.0]], [0.0, 2.0])
     assert ws.n == 2
+
+
+def _read_text(text):
+    """A refusal that writes ``text`` to a file and reads it back."""
+    def read(tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text(text, encoding="utf-8")
+        return read_points(path)
+    return read
+
+
+_E2 = np.eye(2)
+_LINE = Line(np.zeros(2), np.array([1.0, 0.0]))
+_FLAT = Flat(Subspace([[1.0, 0.0]]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("refused, message", [
+    (_read_text("1 2\n1.0 abc\n"), "could not convert string to float: 'abc'"),
+    (_read_text("1 2\n1.0 inf\n"), "data.txt: non-finite values"),
+    (_read_text("1 2 3\n1.0 2.0\n"), "header must be 'n d', got '1 2 3'"),
+    (lambda _: project_flat(np.zeros((2, 3)), _FLAT), "point dimension 3 != flat ambient 2"),
+    (lambda _: project_line(np.zeros(3), _LINE), "point dimension 3 != line ambient 2"),
+    (lambda _: WeightedSet(_E2, [1.0, np.nan]), "weights must be finite"),
+    (lambda _: Subspace.from_spanning(np.zeros((2, 2))), "spanning vectors are all zero"),
+    (lambda _: Flat(Subspace([[1.0, 0.0]]), [0.0]), "translation must have shape (2,)"),
+    (lambda _: Flat(Subspace([[1.0, 0.0]]), [0.0, np.inf]), "translation must be finite"),
+    (lambda _: Line(np.zeros(2), np.array([1.0, 0.0, 0.0])),
+     "anchor and direction must be 1-d arrays of equal length"),
+    (lambda _: Line(np.zeros(0), np.zeros(0)), "ambient dimension must be at least 1"),
+    (lambda _: Line(np.array([0.0, np.nan]), np.array([1.0, 0.0])),
+     "anchor and direction must be finite"),
+    (lambda _: Line.canonical(np.zeros(2), np.zeros(2)), "direction must be a nonzero finite vector"),
+    (lambda _: Line.through([1.0, 2.0], [1.0, 2.0]), "points must be distinct"),
+    (lambda _: LineSet([_LINE, "a line"]), "all entries must be Line instances"),
+    (lambda _: jl.JLMap(np.ones(3)), "matrix must be a non-empty 2-d array, got shape (3,)"),
+    (lambda _: jl.apply(jl.identity_map(2), Dataset(np.zeros((2, 3)))),
+     "data dimension 3 != map input dimension 2"),
+    (lambda _: jl.distortion_range(jl.identity_map(2), np.eye(3)),
+     "data dimension 3 != map input dimension 2"),
+    # a NaN row is refused, not skipped as a pair of no length
+    (lambda _: jl.distortion_range(jl.identity_map(2), [[0, 0], [1, 0], [np.nan, 2], [0, 3]]),
+     "points must contain only finite values"),
+    (lambda _: jl.distortion_range(jl.identity_map(2), np.array([0.0, 1.0])),
+     "points must be a 2-d array, got shape (2,)"),
+    (lambda _: jl.moment_ratio_samples(2, 0, 10, seed=0), "t and trials must be positive"),
+    (lambda _: jl.moment_bound_threshold(2, 0.0), "eps must be positive"),
+    (lambda _: jl.is_subspace_embedding(jl.identity_map(2), Subspace([[1.0, 0.0]]), -0.1),
+     "eps must be non-negative"),
+    (lambda _: jl.is_subspace_embedding(jl.identity_map(3), Subspace([[1.0, 0.0]]), 0.1),
+     "subspace ambient 2 != map input dimension 3"),
+    (lambda _: sensitivity.SensitivityProfile([1.0, np.inf]), "sigma must be finite"),
+    (lambda _: sensitivity.event_e4_statistic(
+        Dataset(_E2), CenterSet([[0.0, 0.0]]), jl.identity_map(2), 2,
+        sensitivity.SensitivityProfile([1.0, 1.0, 1.0])),
+     "profile length does not match the data"),
+])
+def test_refusals_name_their_fault(tmp_path, refused, message):
+    with pytest.raises(ValueError) as err:
+        refused(tmp_path)
+    assert message in str(err.value)
 
 
 def test_subspace_rejects_non_orthonormal():

@@ -41,17 +41,6 @@ def test_profile_validation():
     assert abs(p.distribution.sum() - 1.0) <= 1e-12
 
 
-def test_profile_csv(tmp_path):
-    p = SensitivityProfile([0.5, 1.5, 2.0])
-    path = tmp_path / "prof.csv"
-    p.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,sigma,sigma_tilde"
-    assert len(lines) == 4
-    idx, sig, til = lines[2].split(",")
-    assert idx == "1" and float(sig) == 1.5 and float(til) == 0.375
-
-
 # ---------------------------------------------------------------------------
 # Clustering
 

@@ -131,7 +131,7 @@ def test_opt_center_mean_for_z2():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(9, 3))
     w = rng.uniform(0.5, 2.0, 9)
-    npt.assert_allclose(opt_center(pts, 2, w), np.average(pts, axis=0, weights=w), atol=1e-12)
+    npt.assert_array_equal(opt_center(pts, 2, w), np.average(pts, axis=0, weights=w))
 
 
 def test_opt_center_weighted_median_1d():
@@ -423,6 +423,37 @@ def test_exact_clustering_weighted_matches_duplication():
     a = solve("clustering", WeightedSet(pts, w), 2, 2, method="exact")
     b = solve("clustering", Dataset(dup), 2, 2, method="exact")
     assert a.cost_pow == pytest.approx(b.cost_pow, rel=1e-9)
+
+
+# Tolerances on |cost_pow - cost_pow of the positive rows alone|, as shares
+# of the rows' weighted spread sum w |x - mean|^z, set before running.  At
+# z = 2 both solves score the same blocks and differ only in where exact
+# zero terms fall in each sum, a few n eps; at z = 1 Weiszfeld's iteration
+# stops within _IRLS_TOL = 1e-14 of the cost per round, from starts that
+# may differ in their last bits, so its margin is wider.
+@pytest.mark.parametrize("problem, z, tol, max_n", [
+    ("clustering", 2.0, 1e-12, 10), ("clustering", 1.0, 1e-9, 7), ("lines", 2.0, 1e-12, 10)])
+def test_exact_solves_take_rows_of_weight_zero(problem, z, tol, max_n):
+    # A block whose rows all weigh 0 has no weighted mean.  Such rows cost 0
+    # wherever the shape is, so the optimum is that of the positive rows alone.
+    rng = np.random.default_rng(31)
+    cases = [(rng.normal(size=(6, 2)), np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0]), 2)]
+    for _ in range(25):
+        n = int(rng.integers(3, max_n + 1))
+        w = rng.uniform(0.1, 3.0, n)
+        w[rng.random(n) < 0.4] = 0.0
+        w[rng.integers(n)] = 1.0
+        if problem == "lines" and n >= 6:
+            w[:3] = 0.0         # enough to fill a block of their own
+            w[-1] = 1.0
+        cases.append((rng.normal(size=(n, int(rng.integers(1, 4)))), w, int(rng.integers(1, 4))))
+    for pts, w, k in cases:
+        got = solve(problem, WeightedSet(pts, w), k, z, method="exact")
+        keep = w > 0
+        want = solve(problem, WeightedSet(pts[keep], w[keep]), k, z, method="exact")
+        spread = float(w @ np.linalg.norm(pts - np.average(pts, axis=0, weights=w), axis=1) ** z)
+        assert got.method == "partition-enumeration"
+        assert abs(got.cost_pow - want.cost_pow) <= tol * spread
 
 
 def test_heuristic_clustering_matches_exact_usually():
