@@ -38,9 +38,11 @@ _MAX_INSTANCE_BYTES = 2 ** 30
 # Below this total mass the squared entries that make it up reach the
 # subnormal range and lose digits, so the cost kernels rescale first.
 _TINY_TOTAL = 2.0 ** -900
-# Columns per block of css_cost's quadratic form: its (d, n) product with
-# the scatter is taken a (d, _QUAD_BLOCK) block at a time.
-_QUAD_BLOCK = 2 ** 15
+# Columns per block of the cost kernels: each reads its (d, n) points a
+# (d, _BLOCK) block at a time into buffers of that width, and its sums over
+# n follow np.sum's pairwise tree down to runs of at most _BLOCK columns (a
+# multiple of 8, and at least numpy's 128-entry leaf).
+_BLOCK = 2 ** 14
 
 
 def _check_instance(n, cols):
@@ -84,8 +86,26 @@ def _tiny_exponent(xt, total):
     power-of-two scalings, with every square back in the normal range."""
     if total >= _TINY_TOTAL:
         return 0
-    top = float(np.max(np.abs(xt), initial=0.0))
+    top = float(max(np.max(xt, initial=0.0), -np.min(xt, initial=0.0)))  # no |x| copy
     return math.frexp(top)[1] if top > 0.0 else 0
+
+
+def _pairwise(leaf, lo, hi):
+    """np.sum over the columns [lo, hi), bit for bit, from the sums of runs
+    of at most _BLOCK columns: ``leaf(lo, hi)`` is np.sum of one run (or an
+    array of such sums, added entry by entry).
+
+    numpy sums a run of more than 128 entries as the sum of its two halves,
+    split at n // 2 rounded down to a multiple of 8 (Higham, SISC 1993).
+    Splitting the same way makes every run a subtree that np.sum itself
+    walks; np.sum adds its result to 0.0, which turns only -0.0 into 0.0,
+    and so does every leaf."""
+    n = hi - lo
+    if n <= _BLOCK:
+        return leaf(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(leaf, lo, lo + half) + _pairwise(leaf, lo + half, hi)
 
 
 def medoid_cost(points):
@@ -94,8 +114,12 @@ def medoid_cost(points):
     Uses the expansion ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 <x_i, x_j>
     so the whole sweep is O(n d).  The sweep runs on the (d, n) transpose,
     a view that is C-contiguous when the points are the transpose of a map,
-    with two-operand ``einsum`` reductions over its short axis: no BLAS call,
-    no copy of the points and two n-vectors of memory besides them.
+    a block of _BLOCK columns at a time with two-operand ``einsum``
+    reductions over its short axis: no BLAS call, no copy of the points and
+    no array of length n, only two buffers of _BLOCK entries.  The total
+    mass keeps np.sum's bits: it is summed through :func:`_pairwise`.
+    Points whose total is below 2^-900 are rescaled first, which may copy
+    them once.
 
     The expansion is about the origin, so its rounding error scales with
     the rows' squared norms, not with their spread.  It suits rows near the
@@ -105,15 +129,27 @@ def medoid_cost(points):
     3.9 times that sum.
     """
     xt = np.asarray(points, dtype=float).T
-    norms_sq = np.einsum("ij,ij->j", xt, xt)
-    total = float(np.sum(norms_sq))
+    n = xt.shape[1]
+    v = -2.0 * np.sum(xt, axis=1)
+    norms_sq, per_center = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    least = np.inf
+
+    def leaf(lo, hi):
+        nonlocal least
+        blk = xt[:, lo:hi]
+        sq = np.einsum("ij,ij->j", blk, blk, out=norms_sq[:hi - lo])
+        mass = np.sum(sq)
+        pc = np.einsum("i,ij->j", v, blk, out=per_center[:hi - lo])
+        sq *= n                         # its mass is taken: scale in place
+        pc += sq
+        least = np.minimum(least, np.min(pc))
+        return mass
+
+    total = float(_pairwise(leaf, 0, n))
     e = _tiny_exponent(xt, total)
     if e:
         return math.ldexp(medoid_cost(np.ldexp(xt, -e).T), 2 * e)
-    per_center = np.einsum("i,ij->j", -2.0 * np.sum(xt, axis=1), xt)
-    norms_sq *= xt.shape[1]             # total is taken: scale in place
-    per_center += norms_sq
-    return total + float(np.min(per_center))
+    return total + float(least)
 
 
 def css_cost(points):
@@ -122,38 +158,60 @@ def css_cost(points):
     Rows that are exactly zero span nothing and are skipped as candidates;
     if every row is zero the residual is the total mass (which is then 0).
     Row i captures x_i' S x_i / ||x_i||^2 of the mass, S the (d, d)
-    scatter; like :func:`medoid_cost` it is computed on the (d, n)
-    transpose with two-operand ``einsum`` reductions and no BLAS call.
-    Besides the points it holds two n-vectors, an n-byte mask and one
-    (d, 2^15) block of S times the columns.
+    scatter.  Like :func:`medoid_cost` it runs on the (d, n) transpose a
+    block of _BLOCK columns at a time, with two-operand ``einsum``
+    reductions and no BLAS call, in two passes: the first takes the total
+    mass and the scatter's upper triangle through :func:`_pairwise`, the
+    second the quotients and their running max.  Besides the points it
+    holds no array of length n: a (d, _BLOCK) buffer, two of _BLOCK entries
+    and a _BLOCK-byte mask.  Points whose total is below 2^-900 are
+    rescaled first, which may copy them once.
     """
     xt = np.asarray(points, dtype=float).T
-    norms_sq = np.einsum("ij,ij->j", xt, xt)
-    total = float(np.sum(norms_sq))
+    d, n = xt.shape
+    width = min(n, _BLOCK)
+    flat, norms_sq, quad = np.empty(d * width), np.empty(width), np.empty(width)
+    upper = np.triu_indices(d)
+
+    def leaf(lo, hi):
+        # [mass, then S's upper triangle row by row]: row i's products
+        # x_j x_i, j >= i, are formed in one (d - i, m) block of the buffer
+        m = hi - lo
+        blk = xt[:, lo:hi]
+        sums = np.empty(1 + len(upper[0]))
+        sums[0] = np.sum(np.einsum("ij,ij->j", blk, blk, out=norms_sq[:m]))
+        k = 1
+        for i in range(d):
+            prod = np.multiply(blk[i:], blk[i], out=flat[:(d - i) * m].reshape(d - i, m))
+            np.sum(prod, axis=1, out=sums[k:k + d - i])
+            k += d - i
+        return sums
+
+    sums = _pairwise(leaf, 0, n)
+    total = float(sums[0])
     e = _tiny_exponent(xt, total)
     if e:
         return math.ldexp(css_cost(np.ldexp(xt, -e).T), 2 * e)
-    keep = norms_sq > 0
-    if not np.any(keep):
-        return total
-    # the (d, d) scatter, summed pairwise along n, over the total keeps quad
-    # on the scale of norms_sq: neither underflows nor overflows where the
-    # norms do not.  Its upper triangle is taken through one reused n-buffer
-    # and mirrored: x_i x_j and x_j x_i are the same products.
-    d, n = xt.shape
-    scatter, buf = np.empty((d, d)), np.empty(n)
-    for i in range(d):
-        for j in range(i, d):
-            scatter[i, j] = scatter[j, i] = np.sum(np.multiply(xt[i], xt[j], out=buf))
+    if not total > 0.0:     # every norm is 0: a sum of norms is at least
+        return total        # the largest of them
+    # the scatter over the total keeps quad on the scale of norms_sq: neither
+    # underflows nor overflows where the norms do not
+    scatter = np.empty((d, d))
+    scatter[upper] = scatter.T[upper] = sums[1:]
     scatter /= total
-    # x_i' S x_i into the same buffer, a block of columns at a time: each
-    # column's value depends on that column alone, so blocking moves no bit
-    for a in range(0, n, _QUAD_BLOCK):
-        blk = xt[:, a:a + _QUAD_BLOCK]
-        np.einsum("ij,ij->j", np.einsum("ik,kj->ij", scatter, blk), blk,
-                  out=buf[a:a + _QUAD_BLOCK])
-    captured = np.divide(buf, norms_sq, out=buf, where=keep)
-    return float(total - total * np.max(captured, where=keep, initial=-np.inf))
+    # each column's quotient depends on that column alone, so blocking
+    # moves no bit
+    best, keep = -np.inf, np.empty(width, dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        blk = xt[:, lo:lo + _BLOCK]
+        m = blk.shape[1]
+        sx = np.einsum("ik,kj->ij", scatter, blk, out=flat[:d * m].reshape(d, m))
+        q = np.einsum("ij,ij->j", sx, blk, out=quad[:m])
+        sq = np.einsum("ij,ij->j", blk, blk, out=norms_sq[:m])
+        kept = np.greater(sq, 0.0, out=keep[:m])
+        np.divide(q, sq, out=q, where=kept)
+        best = np.maximum(best, np.max(q, where=kept, initial=-np.inf))
+    return float(total - total * best)
 
 
 def medoid_optimum(n):
@@ -192,10 +250,10 @@ def counterexample_trial(which, n, t, seed):
     ``which`` is "medoid" or "css".  The projected point set is read
     straight from columns of the sampled (t, n) or (t, n + 1) map and kept
     in that layout; the css points are formed in the first n columns of
-    the map's own buffer.  So a trial takes O(n t) time and, counting the
-    map, under two map-sizes of memory: the map, two n-vectors and, for
-    css, one block of 2^15 columns.  Its cost kernels make no BLAS call.
-    A map above 2^30 bytes is refused before it is sampled.
+    the map's own buffer.  So a trial takes O(n t) time and one map-size
+    of memory: besides the map, its cost kernels hold only buffers of
+    _BLOCK columns, and they make no BLAS call.  A map above 2^30 bytes is
+    refused before it is sampled.
     """
     if n < 2:
         raise ValueError("need at least two points")

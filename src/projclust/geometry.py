@@ -69,19 +69,25 @@ class WeightedSet(Dataset):
 
     def __init__(self, points, weights):
         super().__init__(points)
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (self.n,):
-            raise ValueError(f"weights must have shape ({self.n},), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        if not np.any(w > 0):
-            raise ValueError("at least one weight must be positive")
-        self.weights = _freeze(w)
+        self.weights = _freeze(_checked_weights(weights, self.n))
 
     def __repr__(self):
         return f"WeightedSet(n={self.n}, d={self.d})"
+
+
+def _checked_weights(weights, n):
+    """``weights`` as a float64 array, once it is shown to be n finite,
+    non-negative weights that are not all zero."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0):
+        raise ValueError("weights must be non-negative")
+    if not np.any(w > 0):
+        raise ValueError("at least one weight must be positive")
+    return w
 
 
 class CenterSet:
@@ -419,7 +425,10 @@ def distances(problem, data, solution):
     -------
     (n,) float array of distances.
     """
-    return _match(problem, _checked_points(problem, data, solution), solution)[2]
+    pts = _checked_points(problem, data, solution)
+    if problem == "lines":          # no feet: they would be thrown away
+        return _nearest(_sq_dists_to_lines(pts, solution.lines))
+    return _match(problem, pts, solution)[2]
 
 
 def _nearest(sq, labels=None):
@@ -439,7 +448,10 @@ def assignment(problem, data, solution):
     """
     if problem not in ("clustering", "lines"):
         raise ValueError("assignment is defined for 'clustering' and 'lines' only")
-    return _match(problem, _checked_points(problem, data, solution), solution)[0]
+    pts = _checked_points(problem, data, solution)
+    if problem == "lines":
+        return np.argmin(_sq_dists_to_lines(pts, solution.lines), axis=1)
+    return _match(problem, pts, solution)[0]
 
 
 def cost_pow(problem, data, solution, z):
@@ -536,9 +548,14 @@ def read_points(path):
                 err = ValueError(f"{path}: row {i} has {len(vals)} values, expected {d}")
                 continue
             try:
+                row = [float(v) for v in vals]
+            except ValueError as bad:
+                err = ValueError(f"{path}: row {i}: {bad}")
+                continue
+            try:
                 if out is None:
                     out = np.empty((n, d))
-                out[i] = [float(v) for v in vals]
+                out[i] = row
             except (ValueError, MemoryError) as bad:
                 err = bad
     if found != n:
@@ -553,4 +570,5 @@ def read_points(path):
 
 
 def read_dataset(path):
-    return Dataset(read_points(path))
+    """A Dataset of the points in ``path``, in :func:`read_points`' own array."""
+    return Dataset._own(read_points(path))

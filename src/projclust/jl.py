@@ -34,7 +34,9 @@ class JLMap:
     def _take(self, m, seed):
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"matrix must be a non-empty 2-d array, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        # a nan or an infinity shows in the min or the max, which read the
+        # matrix in place: np.isfinite would make a temporary an eighth its size
+        if not (np.isfinite(np.min(m)) and np.isfinite(np.max(m))):
             raise ValueError("matrix must contain only finite values")
         self.matrix = m
         self.matrix.setflags(write=False)

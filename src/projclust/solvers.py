@@ -121,9 +121,13 @@ def _center(pts, w, z):
 
 
 def opt_center(pts, z, weights=None):
-    """The best single center for a weighted point set under power z."""
+    """The best single center for a weighted point set under power z.
+
+    ``weights`` are checked as a WeightedSet's are: n finite, non-negative
+    values, not all zero."""
     pts = geometry._points_of(pts)
-    w = np.ones(pts.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = (np.ones(pts.shape[0]) if weights is None
+         else geometry._checked_weights(weights, pts.shape[0]))
     return _center(pts, w, geometry._check_z(z))
 
 

@@ -10,7 +10,7 @@ from _oracles import ref_css_cost, ref_css_kernel, ref_medoid_cost, ref_medoid_k
 from projclust import cli
 from projclust.jl import apply, sample_jl
 from projclust.counterexamples import (
-    _QUAD_BLOCK,
+    _BLOCK, _pairwise,
     gen_medoid_instance, gen_css_instance,
     medoid_cost, css_cost, medoid_optimum, css_optimum,
     RatioReport, counterexample_trial,
@@ -113,10 +113,10 @@ def test_trial_refuses_a_huge_map_before_sampling(which, d):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("which,d_extra,bound", [("medoid", 0, 1.8), ("css", 1, 2.0)])
+@pytest.mark.parametrize("which,d_extra,bound", [("medoid", 0, 1.25), ("css", 1, 1.25)])
 def test_trial_memory_in_map_sizes(which, d_extra, bound):
-    # the map itself is one map-size and the kernels read it in place; two
-    # n-vectors make 1.67, css adds a mask and one block of 2^15 columns
+    # the map itself is one map-size and the kernels read it in place, a
+    # block of columns at a time: what else they hold does not grow with n
     n, t = 200_000, 3
     counterexample_trial(which, 100, t, 0)              # warm up numpy
     tracemalloc.start()
@@ -128,7 +128,9 @@ def test_trial_memory_in_map_sizes(which, d_extra, bound):
     assert peak < bound * 8 * t * (n + d_extra)
 
 
-def test_two_css_trials_on_two_threads_stay_below_four_map_sizes(tmp_path, monkeypatch):
+def test_two_css_trials_on_two_threads_stay_below_two_and_a_half_map_sizes(
+        tmp_path, monkeypatch):
+    # one map per trial, and the kernels' blocks besides
     n, t = 200_000, 3
     monkeypatch.setenv("PROJCLUST_THREADS", "2")
     args = ["counterexample", "--which", "css", "--t", str(t), "--trials", "2"]
@@ -139,7 +141,7 @@ def test_two_css_trials_on_two_threads_stay_below_four_map_sizes(tmp_path, monke
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4.0 * 8 * t * (n + 1)
+    assert peak < 2.5 * 8 * t * (n + 1)
 
 
 def test_generators_size_limit_is_two_to_the_thirty_bytes():
@@ -177,13 +179,28 @@ def test_kernels_match_the_row_major_references(x):
     assert abs(css_cost(x) - ref_css_cost(x)) <= 1e-12 * mass
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4 * _BLOCK + 100), seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.sampled_from((0.0, 0.5, 1.0)))
+def test_pairwise_is_np_sum_bit_for_bit(n, seed, zeros):
+    # magnitudes from 1e-150 to 1e150 of either sign, some entries 0.0 or
+    # -0.0: every rounding of np.sum's own tree shows in the last bits
+    rng = np.random.default_rng(seed)
+    x = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-150, 150, n)
+    zero = rng.random(n) < zeros
+    x[zero] = rng.choice((0.0, -0.0), n)[zero]
+    got = _pairwise(lambda lo, hi: np.sum(x[lo:hi]), 0, n)
+    assert np.float64(got).tobytes() == np.sum(x).tobytes()
+
+
 @st.composite
 def maps(draw):
-    """Read-only (t, n + 1) maps, n around multiples of the css block, with
-    some or all columns zero, and some scaled by 2^-470: a total mass below
-    the kernels' rescale threshold of 2^-900."""
-    n = draw(st.sampled_from((2, 7, _QUAD_BLOCK - 1, _QUAD_BLOCK, _QUAD_BLOCK + 1,
-                              3 * _QUAD_BLOCK + 5)))
+    """Read-only (t, n + 1) maps, n around the kernels' block, at one split
+    of their pairwise sums above it (2 _BLOCK + 9) and at three (4 _BLOCK +
+    13), with some or all columns zero, and some scaled by 2^-470: a total
+    mass below the kernels' rescale threshold of 2^-900."""
+    n = draw(st.sampled_from((2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                              2 * _BLOCK + 9, 4 * _BLOCK + 13)))
     t = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     m = rng.normal(size=(t, n + 1))
@@ -205,7 +222,7 @@ def test_kernels_match_their_whole_width_references_bit_for_bit(m):
     npt.assert_array_equal(m, before)
 
 
-@pytest.mark.parametrize("n", [2, 100, _QUAD_BLOCK + 1, 65537])
+@pytest.mark.parametrize("n", [2, 100, 2 ** 15 + 1, 65537])
 def test_css_trial_is_the_reference_kernel_on_the_formed_points(n):
     t, seed = 3, 11
     m = sample_jl(n + 1, t, seed).matrix

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projclust import jl, sensitivity
+from projclust import geometry, jl, sensitivity
 from projclust.geometry import (
     Dataset, WeightedSet, CenterSet, Subspace, Flat, Line, LineSet,
     project_subspace, project_flat, project_line,
@@ -62,7 +62,7 @@ _FLAT = Flat(Subspace([[1.0, 0.0]]), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("refused, message", [
-    (_read_text("1 2\n1.0 abc\n"), "could not convert string to float: 'abc'"),
+    (_read_text("1 2\n1.0 abc\n"), "data.txt: row 0: could not convert string"),
     (_read_text("1 2\n1.0 inf\n"), "data.txt: non-finite values"),
     (_read_text("1 2 3\n1.0 2.0\n"), "header must be 'n d', got '1 2 3'"),
     (lambda _: project_flat(np.zeros((2, 3)), _FLAT), "point dimension 3 != flat ambient 2"),
@@ -230,6 +230,17 @@ def test_line_distances_of_points_on_the_line():
     x = Dataset(ln.anchor + rng.normal(0.0, 3.0, (40, 1)) * ln.direction)
     assert np.max(distances("lines", x, LineSet([ln]))) <= 1e-14
     assert cost_pow("lines", x, LineSet([ln]), 1) <= 1e-12
+
+
+def test_line_distances_and_assignment_build_no_feet(monkeypatch):
+    # they read the squared distances alone; the feet only the match builds
+    rng = np.random.default_rng(41)
+    x = Dataset(rand_points(rng, 50, 3))
+    lines = LineSet([Line.through(rng.normal(size=3), rng.normal(size=3)) for _ in range(3)])
+    labels, _, dist = geometry._match("lines", x.points, lines)
+    monkeypatch.setattr(geometry, "project_line", None)
+    npt.assert_array_equal(distances("lines", x, lines), dist)
+    npt.assert_array_equal(assignment("lines", x, lines), labels)
 
 
 def test_cost_two_centers_line_points():
@@ -462,6 +473,24 @@ def test_read_points_memory_stays_near_one_array(tmp_path):
         tracemalloc.stop()
     npt.assert_array_equal(back, pts)
     assert peak < 1.5 * n * d * 8
+
+
+def test_read_dataset_keeps_the_array_it_reads(tmp_path):
+    # the Dataset takes read_points' array after the same checks: a copy
+    # would make two array-sizes
+    n, d = 20_000, 20
+    p = tmp_path / "big.txt"
+    pts = np.random.default_rng(28).normal(size=(n, d))
+    write_points(p, pts)
+    tracemalloc.start()
+    try:
+        back = read_dataset(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    npt.assert_array_equal(back.points, pts)
+    assert not back.points.flags.writeable
+    assert peak < 1.25 * n * d * 8
 
 
 def test_csv_fields_are_plain_reprs_of_numpy_values(tmp_path):

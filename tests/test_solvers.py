@@ -134,6 +134,19 @@ def test_opt_center_mean_for_z2():
     npt.assert_array_equal(opt_center(pts, 2, w), np.average(pts, axis=0, weights=w))
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([-1.0, 1.0, 1.0], "weights must be non-negative"),
+    ([1.0, np.nan, 1.0], "weights must be finite"),
+    ([0.0, 0.0, 0.0], "at least one weight must be positive"),
+])
+def test_opt_center_refuses_what_a_weighted_set_refuses(weights, message):
+    # unchecked, a negative weight put the center outside the rows' hull,
+    # a nan returned nan and a zero sum raised ZeroDivisionError
+    for z in (1, 2, 3):
+        with pytest.raises(ValueError, match=message):
+            opt_center(np.eye(3), z, weights)
+
+
 def test_opt_center_weighted_median_1d():
     pts = np.array([[0.0], [10.0]])
     assert opt_center(pts, 1, np.array([3.0, 1.0]))[0] == 0.0
