@@ -158,7 +158,7 @@ def _quantiles(values):
     """(median, p5, p95) of a non-empty list by the arithmetic of
     ``np.median`` and ``np.percentile``: the middle value or the mean of the
     two middle ones, and linear interpolation by numpy's ``_lerp`` rule.
-    Those two import ``numpy.ma`` on first use, about 14 ms of a run."""
+    Those two import ``numpy.ma`` on first use, about 9.5 ms on numpy 2.4."""
     s = np.sort(np.asarray(values, dtype=np.float64)).tolist()
     n = len(s)
     if s[-1] != s[-1]:          # a nan sorts last, and makes every value nan
@@ -430,15 +430,9 @@ _RATIO_THRESHOLDS = {"medoid": 1.5, "css": 1.25}
 
 def cmd_counterexample(args):
     which = ["medoid", "css"] if args.which == "both" else [args.which]
-    tasks = [(w, trial) for w in which for trial in range(args.trials)]
-
-    def run(task):
-        w, trial = task
-        offset = which.index(w) * args.trials
-        return counterexamples.counterexample_trial(
-            w, args.n, args.t, args.seed + offset + trial)
-
-    reps = _run_tasks(run, tasks)
+    reps = _run_tasks(lambda i: counterexamples.counterexample_trial(
+        which[i // args.trials], args.n, args.t, args.seed + i),
+        range(len(which) * args.trials))
     rows = [[r.which, r.n, r.t, r.seed, r.cost_original, r.cost_projected,
              float(r.ratio)] for r in reps]
     _write_csv(args.out, ["which", "n", "t", "seed", "cost_original",

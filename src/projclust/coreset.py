@@ -10,7 +10,7 @@ weighted proxy set with an unbiased cost estimate.
 import numpy as np
 
 from . import geometry
-from .geometry import LineSet, project_line
+from .geometry import LineSet
 from ._rng import rng_stream
 from .solvers import _fit_line
 
@@ -215,7 +215,7 @@ def _line_groups(pts, lines, labels):
         sub = pts[idxs]
         pos = (sub - sub.mean(axis=0)) @ ln.direction
         groups.append((idxs,
-                       np.linalg.norm(sub - project_line(sub, ln), axis=1),
+                       np.sqrt(geometry._sq_dists_to_lines(sub, (ln,))[:, 0]),
                        np.linalg.norm(sub, axis=1),
                        pos, _sweeps(pos)))
     return groups

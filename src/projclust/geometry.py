@@ -382,33 +382,40 @@ def _checked_points(problem, data, solution):
 
 
 def _match(problem, pts, solution):
-    """``(labels, feet, dist)`` of the rows ``pts``, which passed
+    """``(labels, dist)`` of the rows ``pts``, which passed
     :func:`_checked_points`: the nearest shape (lowest index on ties, 0 for a
-    subspace or flat), the nearest center or the projection, and the distance
-    (``sqrt`` of the least squared distance for lines, the residual norm for
-    the other shapes)."""
+    subspace or flat) and the distance to it (``sqrt`` of the least squared
+    distance for lines, the residual norm for the other shapes)."""
     if problem in ("subspace", "flat"):
-        feet = (project_subspace if problem == "subspace" else project_flat)(pts, solution)
-        return np.zeros(len(pts), dtype=np.intp), feet, np.linalg.norm(pts - feet, axis=1)
+        res = (project_subspace if problem == "subspace" else project_flat)(pts, solution)
+        np.subtract(pts, res, out=res)
+        return np.zeros(len(pts), dtype=np.intp), np.linalg.norm(res, axis=1)
     if problem == "clustering":
         xc, xsq, m = _centered(pts)
         labels = np.argmin(_sq_dists_to_centers(xc, solution.centers - m, xsq), axis=1)
-        del xc              # the centered copy, before the feet's buffer
-        # the residual to the chosen center, worked in the feet's buffer: 0 on
-        # a center, where the expansion leaves rounding of u |x - m|^2; with
-        # mode="clip" take refills it without a buffer (labels are in range)
-        feet = solution.centers[labels]
-        np.subtract(pts, feet, out=feet)
-        dist = np.sqrt(np.einsum("ij,ij->i", feet, feet))
-        return labels, np.take(solution.centers, labels, axis=0, out=feet, mode="clip"), dist
+        del xc              # the centered copy, before the residuals' buffer
+        res = solution.centers[labels]  # the residual to the chosen center: 0 on a center,
+        np.subtract(pts, res, out=res)  # where the expansion leaves rounding of u |x - m|^2
+        return labels, np.sqrt(np.einsum("ij,ij->i", res, res))
     sq = _sq_dists_to_lines(pts, solution.lines)
     labels = np.argmin(sq, axis=1)
+    return labels, _nearest(sq, labels)
+
+
+def _feet(problem, pts, solution, labels):
+    """Each row's foot on ``solution``: its center ``labels`` picks, its
+    projection onto the subspace or flat (``labels`` unread), or onto the
+    line ``labels`` picks."""
+    if problem == "clustering":
+        return solution.centers[labels]
+    if problem in ("subspace", "flat"):
+        return (project_subspace if problem == "subspace" else project_flat)(pts, solution)
     feet = np.empty_like(pts)
     for j, ln in enumerate(solution.lines):
         mask = labels == j
         if np.any(mask):
             feet[mask] = project_line(pts[mask], ln)
-    return labels, feet, _nearest(sq, labels)
+    return feet
 
 
 def distances(problem, data, solution):
@@ -425,10 +432,7 @@ def distances(problem, data, solution):
     -------
     (n,) float array of distances.
     """
-    pts = _checked_points(problem, data, solution)
-    if problem == "lines":          # no feet: they would be thrown away
-        return _nearest(_sq_dists_to_lines(pts, solution.lines))
-    return _match(problem, pts, solution)[2]
+    return _match(problem, _checked_points(problem, data, solution), solution)[1]
 
 
 def _nearest(sq, labels=None):
@@ -448,10 +452,7 @@ def assignment(problem, data, solution):
     """
     if problem not in ("clustering", "lines"):
         raise ValueError("assignment is defined for 'clustering' and 'lines' only")
-    pts = _checked_points(problem, data, solution)
-    if problem == "lines":
-        return np.argmin(_sq_dists_to_lines(pts, solution.lines), axis=1)
-    return _match(problem, pts, solution)[0]
+    return _match(problem, _checked_points(problem, data, solution), solution)[0]
 
 
 def cost_pow(problem, data, solution, z):
@@ -535,10 +536,12 @@ def read_points(path):
         header = next(lines, None)
         if header is None:
             raise ValueError(f"{path}: no data lines")
-        head = header.split()
-        if len(head) != 2:
+        try:        # two fields that int() reads, neither negative
+            n, d = map(int, header.split())
+        except ValueError:
+            n = d = -1
+        if n < 0 or d < 0:
             raise ValueError(f"{path}: header must be 'n d', got {header!r}")
-        n, d = int(head[0]), int(head[1])
         for i, line in enumerate(lines):
             found = i + 1
             if i >= n or err is not None:
@@ -560,7 +563,7 @@ def read_points(path):
                 err = bad
     if found != n:
         raise ValueError(f"{path}: expected {n} data rows, found {found}")
-    if out is None:     # no row stored: the allocation fails first (on a d < 0, say)
+    if out is None:     # no row stored: the allocation fails first (on a huge n d, say)
         out = np.empty((n, d))
     if err is not None:
         raise err

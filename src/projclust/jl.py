@@ -65,7 +65,7 @@ def sample_jl(d, t, seed, stream=0):
 
 def identity_map(d):
     """The t = d identity map (useful as a no-op baseline)."""
-    return JLMap(np.eye(int(d)), seed=0)
+    return JLMap._own(np.eye(int(d)), 0)
 
 
 def apply(pi, x):
@@ -248,4 +248,4 @@ def read_map(path):
                     seed = int(parts[1])
             elif line:
                 break
-    return JLMap(geometry.read_points(path), seed=seed)
+    return JLMap._own(geometry.read_points(path), seed)

@@ -56,13 +56,15 @@ def _sensitivity(problem, data, solution, z):
 
         sigma(x) = 2^(z-1) * dist(x)^z / cost + 2^(2z-1) * tail(x),
 
-    both terms read off one :func:`geometry._match` of the rows to
-    ``solution``; the problem picks the tail, and the first term is dropped
-    when the reference cost is zero.
+    the distances and labels from one :func:`geometry._match` of the rows to
+    ``solution``; the problem picks the tail, which reads the cluster sizes or
+    the rows' feet, and the first term is dropped when the reference cost is
+    zero.
     """
     z = geometry._check_z(z)
     pts = geometry._checked_points(problem, data, solution)
-    labels, feet, dist = geometry._match(problem, pts, solution)
+    labels, dist = geometry._match(problem, pts, solution)
+    feet = None if problem == "clustering" else geometry._feet(problem, pts, solution, labels)
     n, lead = pts.shape[0], 2.0 ** (2.0 * z - 1.0)
     if problem == "clustering":
         tail = lead / np.bincount(labels, minlength=solution.k)[labels]
@@ -70,8 +72,7 @@ def _sensitivity(problem, data, solution, z):
         tail = lead * COVER_FACTOR / peel_partition(feet, solution, labels).layer_index
     else:   # the lifted projections of a flat are never all at the origin
         y = np.hstack([feet, np.ones((n, 1))]) if problem == "flat" else feet
-        at_origin = float(np.max(np.linalg.norm(y, axis=1))) == 0.0
-        tail = lead * (np.full(n, 1.0 / n) if at_origin else sup_ratios(y, z))
+        tail = lead * (sup_ratios(y, z) if np.any(y) else np.full(n, 1.0 / n))
     cost = float(np.sum(dist ** z))
     head = 2.0 ** (z - 1.0) * dist ** z / cost if cost > 0 else 0.0
     return SensitivityProfile(head + tail)
@@ -243,9 +244,11 @@ def event_e4_statistic(data, solution, pi, z, profile):
     pts = geometry._checked_points(problem, data, solution)
     if profile.n != pts.shape[0]:
         raise ValueError("profile length does not match the data")
-    ref = geometry._match(problem, pts, solution)[1]
-    dist = np.linalg.norm(pts - ref, axis=1)
-    pdist = np.linalg.norm(jl.apply(pi, pts - ref), axis=1)
+    labels = (geometry._match(problem, pts, solution)[0]
+              if problem in ("clustering", "lines") else None)
+    res = pts - geometry._feet(problem, pts, solution, labels)
+    dist = np.linalg.norm(res, axis=1)
+    pdist = np.linalg.norm(jl.apply(pi, res), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dist == 0.0, 1.0, pdist / np.where(dist == 0.0, 1.0, dist))
     return float(np.sum(ratio ** (2.0 * z) * profile.sigma))

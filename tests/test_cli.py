@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import projclust
 from projclust import cli, coreset, geometry, jl, sensitivity, solvers
@@ -968,7 +968,9 @@ def test_summary_commands_load_no_numpy_ma(tmp_path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.floats(0.0, 1e6), st.just(np.inf)), min_size=1, max_size=59))
+@given(st.lists(st.one_of(st.floats(0.0, 1e6), st.just(np.inf), st.just(np.nan)),
+                min_size=1, max_size=59))
+@example([1.0, np.nan, 3.0])        # a nan anywhere makes all three nan
 def test_quantiles_match_numpy(values):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf in numpy's lerp

@@ -44,7 +44,7 @@ def test_weighted_set_validation():
     with pytest.raises(ValueError):
         WeightedSet([[0.0], [1.0]], [0.0, 0.0])
     ws = WeightedSet([[0.0], [1.0]], [0.0, 2.0])
-    assert ws.n == 2
+    assert ws.n == len(ws) == 2
 
 
 def _read_text(text):
@@ -65,6 +65,14 @@ _FLAT = Flat(Subspace([[1.0, 0.0]]), [0.0, 0.0])
     (_read_text("1 2\n1.0 abc\n"), "data.txt: row 0: could not convert string"),
     (_read_text("1 2\n1.0 inf\n"), "data.txt: non-finite values"),
     (_read_text("1 2 3\n1.0 2.0\n"), "header must be 'n d', got '1 2 3'"),
+    # a header that is not two non-negative integers is refused by its text
+    (_read_text("2 x\n1.0 2.0\n"), "header must be 'n d', got '2 x'"),
+    (_read_text("2.5 2\n1.0 2.0\n"), "header must be 'n d', got '2.5 2'"),
+    (_read_text("-2 3\n"), "header must be 'n d', got '-2 3'"),
+    (_read_text("1 -3\n1.0\n"), "header must be 'n d', got '1 -3'"),
+    # a wrong row count outranks a failed allocation, which outranks a bad row
+    (_read_text(f"2 {10 ** 20}\n1.0 abc\n"), "expected 2 data rows, found 1"),
+    (_read_text(f"1 {10 ** 20}\n1.0 abc\n"), "Maximum allowed dimension exceeded"),
     (lambda _: project_flat(np.zeros((2, 3)), _FLAT), "point dimension 3 != flat ambient 2"),
     (lambda _: project_line(np.zeros(3), _LINE), "point dimension 3 != line ambient 2"),
     (lambda _: WeightedSet(_E2, [1.0, np.nan]), "weights must be finite"),
@@ -130,6 +138,13 @@ def test_flat_canonical_form():
         Flat(direction, [1.0, 0.0, 1.0])
     f = Flat.from_point(direction, [5.0, 0.0, 1.0])
     npt.assert_allclose(f.translation, [0.0, 0.0, 1.0], atol=1e-12)
+    # raw basis rows are taken as a Subspace, with its checks
+    for g in (Flat([[1.0, 0.0, 0.0]], [0.0, 0.0, 1.0]),
+              Flat.from_point([[1.0, 0.0, 0.0]], [5.0, 0.0, 1.0])):
+        assert isinstance(g.direction, Subspace)
+        npt.assert_array_equal(g.translation, f.translation)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Flat([[1.0, 1.0, 0.0]], [0.0, 0.0, 1.0])
 
 
 def test_line_canonical_form():
@@ -144,6 +159,7 @@ def test_line_canonical_form():
     npt.assert_allclose(ln.anchor, [0.0, 1.0], atol=1e-12)
     ln2 = Line.through([0.0, 1.0], [5.0, 1.0])
     assert ln == ln2
+    assert ln.__eq__(3) is NotImplemented and not ln == 3
 
 
 def test_line_hash_agrees_with_eq_on_signed_zero():
@@ -161,7 +177,7 @@ def test_lineset_validation():
         LineSet([])
     with pytest.raises(ValueError):
         LineSet([ln, ln3])
-    assert LineSet([ln, ln]).k == 2
+    assert LineSet([ln, ln]).k == len(LineSet([ln, ln])) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +249,28 @@ def test_line_distances_of_points_on_the_line():
 
 
 def test_line_distances_and_assignment_build_no_feet(monkeypatch):
-    # they read the squared distances alone; the feet only the match builds
+    # distances, assignment and cost_pow read the match alone, for all four
+    # problems; only the sensitivity tails and the e4 statistic build feet
     rng = np.random.default_rng(41)
     x = Dataset(rand_points(rng, 50, 3))
-    lines = LineSet([Line.through(rng.normal(size=3), rng.normal(size=3)) for _ in range(3)])
-    labels, _, dist = geometry._match("lines", x.points, lines)
+    sols = {"clustering": CenterSet(rand_points(rng, 3, 3)),
+            "subspace": Subspace.from_spanning(rng.normal(size=(2, 3))),
+            "flat": Flat.from_point(Subspace.from_spanning(rng.normal(size=(1, 3))),
+                                    rand_points(rng, 1, 3)[0]),
+            "lines": LineSet([Line.through(rng.normal(size=3), rng.normal(size=3))
+                              for _ in range(3)])}
+    want = {problem: geometry._match(problem, x.points, sol) for problem, sol in sols.items()}
+
+    def no_feet(*_):
+        raise AssertionError("a foot was built")
+    monkeypatch.setattr(geometry, "_feet", no_feet)
     monkeypatch.setattr(geometry, "project_line", None)
-    npt.assert_array_equal(distances("lines", x, lines), dist)
-    npt.assert_array_equal(assignment("lines", x, lines), labels)
+    for problem, sol in sols.items():
+        labels, dist = want[problem]
+        npt.assert_array_equal(distances(problem, x, sol), dist)
+        assert cost_pow(problem, x, sol, 1.5) == float(np.sum(dist ** 1.5))
+        if problem in ("clustering", "lines"):
+            npt.assert_array_equal(assignment(problem, x, sol), labels)
 
 
 def test_cost_two_centers_line_points():

@@ -57,6 +57,32 @@ def test_sampled_matrix_is_owned_and_read_only_and_given_ones_are_copied():
             JLMap._own(bad, 0)
 
 
+def _traced_peak(make):
+    """``make()`` and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_identity_and_read_maps_keep_the_array_they_build(tmp_path):
+    # each map takes the array it has just made after the same checks: a
+    # copy would make two map-sizes
+    pi, peak = _traced_peak(lambda: identity_map(1500))
+    npt.assert_array_equal(pi.matrix, np.eye(1500))
+    assert not pi.matrix.flags.writeable
+    assert peak < 1.25 * pi.matrix.nbytes
+    path = tmp_path / "map.txt"
+    write_map(path, sample_jl(40, 20_000, seed=5))
+    back, peak = _traced_peak(lambda: read_map(path))
+    npt.assert_array_equal(back.matrix, sample_jl(40, 20_000, seed=5).matrix)
+    assert back.seed == 5 and not back.matrix.flags.writeable
+    assert peak < 1.25 * back.matrix.nbytes
+
+
 def test_sample_jl_entry_statistics():
     d, t = 1000, 50
     p = sample_jl(d, t, seed=1)

@@ -486,6 +486,23 @@ def test_match_equals_the_per_problem_references(case):
         ref_e4_statistic(data, sol, pi, z, prof)
 
 
+def test_e4_projects_onto_a_subspace_or_flat_without_a_match(monkeypatch):
+    # the statistic reads the feet alone there; labels are all 0
+    rng = np.random.default_rng(17)
+    x = Dataset(rng.normal(size=(30, 4)))
+    sols = (Subspace.from_spanning(rng.normal(size=(2, 4))),
+            Flat.from_point(Subspace.from_spanning(rng.normal(size=(1, 4))), rng.normal(size=4)))
+    pi = sample_jl(4, 2, seed=1)
+    profiles = [subspace_sensitivity(x, sols[0], 2), flat_sensitivity(x, sols[1], 2)]
+    want = [ref_e4_statistic(x, sol, pi, 2, prof) for sol, prof in zip(sols, profiles)]
+
+    def no_match(*_):
+        raise AssertionError("the match ran")
+    monkeypatch.setattr(geometry, "_match", no_match)
+    assert [event_e4_statistic(x, sol, pi, 2, prof)
+            for sol, prof in zip(sols, profiles)] == want
+
+
 def test_e4_refuses_a_solution_of_another_dimension():
     x = Dataset(np.random.default_rng(16).normal(size=(6, 3)))
     prof = SensitivityProfile(np.ones(6))
