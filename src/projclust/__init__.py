@@ -33,7 +33,6 @@ from .geometry import (
 from .jl import (
     JLMap,
     sample_jl,
-    identity_map,
     apply,
     moment_bound_statistic,
     moment_bound_threshold,
@@ -91,7 +90,6 @@ __all__ = [
     "read_dataset",
     "JLMap",
     "sample_jl",
-    "identity_map",
     "apply",
     "moment_bound_statistic",
     "moment_bound_threshold",

@@ -9,9 +9,9 @@ per-index generator streams, and the pool never changes the output ordering,
 so result files are byte-identical across runs and pool sizes.  ``preserve``
 draws each trial's data in the first of its tasks to run and drops them after
 the last, so it holds about one dataset per busy thread.  ``coreset`` and
-``preserve`` share ``_target_dims`` (t by one rule, each in [1, d]),
-``_trial_map`` (maps from the streams past --trials) and ``_or_failed`` (a
-refused trial is a ``failed`` row).
+``preserve`` share ``_target_dims`` (t by one rule, each in [1, d]) and
+``_or_failed`` (a refused trial is a ``failed`` row), and both sample their
+maps from the streams past --trials.
 """
 
 import argparse
@@ -99,11 +99,7 @@ def _solve(args, data):
 
 
 def _target_dims(args, n, d):
-    if args.identity:
-        if args.t is not None or args.t_list is not None:
-            raise ValueError("--identity projects to t = d; drop --t and --t-list")
-        ts = [d]
-    elif args.t_list is not None:
+    if args.t_list is not None:
         ts = args.t_list
     elif args.t is not None:
         ts = [args.t]
@@ -114,12 +110,6 @@ def _target_dims(args, n, d):
         if not 1 <= t <= d:
             raise ValueError(f"need 1 <= t <= d, got t={t} with d={d}")
     return ts
-
-
-def _trial_map(args, d, t, stream):
-    if args.identity:
-        return jl.identity_map(d)
-    return jl.sample_jl(d, t, args.seed, stream=stream)
 
 
 def _or_failed(stage, *stage_args):
@@ -287,11 +277,9 @@ def cmd_gen(args):
 
 
 def cmd_project(args):
-    if args.t is None and not args.identity:
-        raise ValueError("--t is required unless --identity is given")
     pts = read_points(args.infile)
     d = pts.shape[1]
-    pi = _trial_map(args, d, args.t, 0)
+    pi = jl.sample_jl(d, args.t, args.seed, stream=0)
     proj = jl.apply(pi, pts)
     write_points(args.out, proj, comments=[f"projected from d={d}"])
     if args.map_out:
@@ -326,7 +314,7 @@ def cmd_coreset(args):
         ws = coreset_mod.sensitivity_sample(data, prof, args.m, args.seed,
                                             stream=trial).extract(data)
         rep_cs = _solve(args, ws)
-        pi = _trial_map(args, data.d, t, args.trials + trial)
+        pi = jl.sample_jl(data.d, t, args.seed, stream=args.trials + trial)
         pdata, pws = jl.apply(pi, data), jl.apply(pi, ws)
         rep_pf = _solve(args, pdata)
         rep_pc = _solve(args, pws)
@@ -376,7 +364,8 @@ def cmd_preserve(args):
         try:
             if s == 0:
                 return float(_solve(args, data).cost), _zero_floor(data, args.z)
-            pdata = jl.apply(_trial_map(args, args.d, ts[s - 1], s * trials + trial), data)
+            pi = jl.sample_jl(args.d, ts[s - 1], args.seed, stream=s * trials + trial)
+            pdata = jl.apply(pi, data)
             return _or_failed(_solve, args, pdata), _zero_floor(pdata, args.z)
         finally:
             with locks[trial]:
@@ -513,7 +502,7 @@ def _render_svg(path, ts, med, lo, hi, title):
 
 def _count(text):
     """An argparse type for counts (--n, --d, --k, --m, --trials, --restarts,
-    and --t of counterexample and the --t-list entries): an int >= 1."""
+    --t of project and counterexample, and the --t-list entries): an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -557,9 +546,7 @@ def build_parser():
 
     g = sub.add_parser("project", help="apply a random projection to a point file")
     g.add_argument("--in", dest="infile", required=True)
-    g.add_argument("--t", type=int)
-    g.add_argument("--identity", action="store_true",
-                   help="use the identity map instead of a sampled one")
+    g.add_argument("--t", type=_count, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--map-out", help="also write the map that was used")
     g.add_argument("--out", required=True)
@@ -591,7 +578,7 @@ def build_parser():
                    help="number of independent coreset draws")
     _solver_options(g)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_coreset, t_list=None, identity=False)
+    g.set_defaults(func=cmd_coreset, t_list=None)
 
     g = sub.add_parser("preserve",
                        help="measure how projection changes the optimal cost")
@@ -603,8 +590,6 @@ def build_parser():
     g.add_argument("--eps", type=float, default=0.3)
     g.add_argument("--t", type=int, help="single projection dimension")
     g.add_argument("--t-list", type=_dims, help="comma-separated projection dimensions")
-    g.add_argument("--identity", action="store_true",
-                   help="use the identity map at t = d (debug baseline)")
     g.add_argument("--const", type=float, default=1.0,
                    help="rescale the preset dimension formula")
     g.add_argument("--trials", type=_count, default=20)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .geometry import Dataset
+from .geometry import Dataset, _as_matrix
 from .jl import _draw, sample_jl
 
 __all__ = [
@@ -108,6 +108,19 @@ def _pairwise(leaf, lo, hi):
     return _pairwise(leaf, lo, lo + half) + _pairwise(leaf, lo + half, hi)
 
 
+def _checked_t(points):
+    """The (d, n) transpose of ``points``, once they are shown to be a
+    non-empty 2-d array of finite values; refused otherwise with
+    :func:`geometry._as_matrix`'s message for the fault.  A nan or an
+    infinity shows in the min or the max, which read the points in place:
+    np.isfinite would make a temporary an eighth their size."""
+    pts = np.asarray(points, dtype=float)
+    if not (pts.ndim == 2 and pts.size
+            and np.isfinite(np.min(pts)) and np.isfinite(np.max(pts))):
+        _as_matrix(pts)                 # raises
+    return pts.T
+
+
 def medoid_cost(points):
     """min_j sum_i ||x_i - x_j||^2 with the center restricted to the rows.
 
@@ -128,7 +141,7 @@ def medoid_cost(points):
     reads 2.5e-4 relative above the direct sum, and shifted by 1e8 it reads
     3.9 times that sum.
     """
-    xt = np.asarray(points, dtype=float).T
+    xt = _checked_t(points)
     n = xt.shape[1]
     v = -2.0 * np.sum(xt, axis=1)
     norms_sq, per_center = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
@@ -167,7 +180,7 @@ def css_cost(points):
     and a _BLOCK-byte mask.  Points whose total is below 2^-900 are
     rescaled first, which may copy them once.
     """
-    xt = np.asarray(points, dtype=float).T
+    xt = _checked_t(points)
     d, n = xt.shape
     width = min(n, _BLOCK)
     flat, norms_sq, quad = np.empty(d * width), np.empty(width), np.empty(width)

@@ -63,11 +63,6 @@ def sample_jl(d, t, seed, stream=0):
     return JLMap._own(_draw(d, t, seed, stream), seed)
 
 
-def identity_map(d):
-    """The t = d identity map (useful as a no-op baseline)."""
-    return JLMap._own(np.eye(int(d)), 0)
-
-
 def apply(pi, x):
     """Apply a map to a vector, an (n, d) array, a Dataset, or a WeightedSet."""
     if isinstance(x, geometry.Dataset):
@@ -154,21 +149,26 @@ def moment_bound_statistic(z, eps, t, trials, seed):
 
     For target dimension t large enough relative to z and eps, this one-sided
     expected overshoot falls below ((1 + eps)^z - 1) / 100.  Returns the
-    sample mean of the positive part.
+    sample mean of the positive part.  ``eps`` must be finite and positive.
     """
     eps = float(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     samples = moment_ratio_samples(z, t, trials, seed)
     return float(np.mean(np.maximum(samples - 1.0, 0.0)))
 
 
 def moment_bound_threshold(z, eps):
-    """The target value ((1 + eps)^z - 1) / 100 for :func:`moment_bound_statistic`."""
+    """The target value ((1 + eps)^z - 1) / 100 for :func:`moment_bound_statistic`,
+    at a finite, positive ``eps``."""
     z = geometry._check_z(z)
     eps = float(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     return ((1.0 + eps) ** z - 1.0) / 100.0
 
 
@@ -182,11 +182,14 @@ def is_subspace_embedding(pi, subspace, eps):
 
     True iff every singular value s of ``pi.matrix @ basis.T`` satisfies
     1/(1 + eps) <= s <= 1 + eps; the extreme singular values are exactly the
-    extreme length-distortion factors over the subspace.
+    extreme length-distortion factors over the subspace.  ``eps`` must be
+    finite and non-negative.
     """
     eps = float(eps)
     if eps < 0:
         raise ValueError("eps must be non-negative")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     if subspace.d != pi.d:
         raise ValueError(f"subspace ambient {subspace.d} != map input dimension {pi.d}")
     s = np.linalg.svd(pi.matrix @ subspace.basis.T, compute_uv=False)
@@ -245,7 +248,11 @@ def read_map(path):
             if line.startswith("#"):
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] == "seed":
-                    seed = int(parts[1])
+                    try:
+                        seed = int(parts[1])
+                    except ValueError:
+                        raise ValueError(f"{path}: seed comment must be an integer, "
+                                         f"got {parts[1]!r}") from None
             elif line:
                 break
     return JLMap._own(geometry.read_points(path), seed)

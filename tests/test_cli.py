@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import importlib
@@ -123,17 +124,15 @@ def test_project_shapes_and_map_out(tmp_path):
                         atol=1e-12)
 
 
-def test_project_identity_and_missing_t(tmp_path, capsys):
-    src, dst = tmp_path / "s.txt", tmp_path / "p.txt"
-    main(["gen", "--kind", "gaussian-mixture", "--n", "8", "--d", "4",
-          "--out", str(src)])
-    assert main(["project", "--in", str(src), "--identity",
-                 "--out", str(dst)]) == 0
-    npt.assert_array_equal(geometry.read_points(str(dst)),
-                           geometry.read_points(str(src)))
-    capsys.readouterr()
-    assert main(["project", "--in", str(src), "--out", str(dst)]) == 2
-    assert "error: --t is required unless --identity is given" in capsys.readouterr().err
+def test_project_refuses_a_missing_or_zero_t(tmp_path, capsys):
+    dst = tmp_path / "p.txt"
+    for t, message in (([], "the following arguments are required: --t"),
+                       (["--t", "0"], "argument --t: must be at least 1, got 0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "--in", "s.txt", *t, "--out", str(dst)])
+        assert exc.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not dst.exists()
 
 
 def test_solve_command_two_pairs(tmp_path, capsys):
@@ -395,17 +394,6 @@ def test_preserve_plot_of_one_dimension(tmp_path):
         'font-size="12">5</text>' in svg
 
 
-def test_preserve_identity_map_is_exact(tmp_path):
-    out = tmp_path / "r.csv"
-    assert main(["preserve", "--problem", "clustering", "--n", "25", "--d", "6",
-                 "--k", "2", "--z", "2", "--identity", "--trials", "3",
-                 "--restarts", "5", "--out", str(out)]) == 0
-    _, rows = read_csv(str(out))
-    records = [r for r in rows if r[0] == "record"]
-    assert [r[6] for r in records] == ["6", "6", "6"]
-    assert all(float(r[12]) == 1.0 for r in records)
-
-
 def test_preserve_reads_costs_that_are_zero_up_to_rounding_as_zero(tmp_path, capsys):
     # four lines through five points: both optima are 0 up to rounding
     # (about 1e-15), and their raw quotient would read about 2.7
@@ -452,21 +440,6 @@ def test_preserve_record_rebuilt_from_library_calls(tmp_path):
             full, float(proj.cost), float(proj.cost) / full] + [None] * 5
     _, rows = read_csv(str(out))
     assert rows[ti * trials + i] == [geometry._fmt(v) for v in want]
-
-
-@pytest.mark.parametrize("extra", [["--t", "3"], ["--t-list", "2,3"]])
-def test_preserve_refuses_identity_with_a_dimension(tmp_path, capsys, monkeypatch,
-                                                     extra):
-    out = tmp_path / "r.csv"
-
-    def no_data(*args, **kwargs):
-        raise AssertionError("generated data before refusing --identity")
-
-    monkeypatch.setitem(cli._INSTANCE_FOR_PROBLEM, "clustering", no_data)
-    assert main(["preserve", "--problem", "clustering", "--n", "20", "--d", "5",
-                 "--identity", *extra, "--out", str(out)]) == 2
-    assert "error: --identity projects to t = d" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_preserve_rejects_t_above_d(tmp_path, capsys):
@@ -793,6 +766,17 @@ def test_counterexample_has_no_threshold_option(tmp_path, capsys):
     assert "unrecognized arguments: --threshold 2" in capsys.readouterr().err
 
 
+def test_identity_option_is_gone(tmp_path, capsys):
+    # every map the CLI applies is a sampled one: the identity map at t = d
+    # would report a ratio of 1 by construction
+    for command in (["project", "--in", "s.txt", "--t", "2"],
+                    ["preserve", "--problem", "clustering"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--identity", "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --identity" in capsys.readouterr().err
+
+
 def test_counterexample_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["counterexample", "--which", "medoid", "--n", "256", "--t", "3",
@@ -991,7 +975,7 @@ def test_public_api_is_pinned():
         "PROBLEMS", "Dataset", "WeightedSet", "CenterSet", "Subspace", "Flat",
         "Line", "LineSet", "project_subspace", "project_flat", "project_line",
         "distances", "assignment", "cost_pow", "cost", "read_dataset",
-        "JLMap", "sample_jl", "identity_map", "apply", "moment_bound_statistic",
+        "JLMap", "sample_jl", "apply", "moment_bound_statistic",
         "moment_bound_threshold", "is_subspace_embedding", "distortion_range",
         "SensitivityProfile", "clustering_sensitivity", "subspace_sensitivity",
         "flat_sensitivity", "line_sensitivity", "sup_ratios",
@@ -1036,7 +1020,7 @@ def test_module_public_names_are_pinned():
                      "project_subspace", "project_flat", "project_line", "distances",
                      "assignment", "cost_pow", "cost", "write_points", "read_points",
                      "read_dataset"],
-        "jl": ["JLMap", "sample_jl", "identity_map", "apply", "preset_t",
+        "jl": ["JLMap", "sample_jl", "apply", "preset_t",
                "moment_ratio_samples", "moment_bound_statistic", "moment_bound_threshold",
                "is_subspace_embedding", "distortion_range", "write_map", "read_map"],
         "sensitivity": ["SensitivityProfile", "clustering_sensitivity", "sup_ratios",
@@ -1049,3 +1033,25 @@ def test_module_public_names_are_pinned():
     assert modules == sorted(pinned)
     for name in modules:
         assert _defined_names(importlib.import_module(f"projclust.{name}")) == pinned[name], name
+
+
+def test_cli_options_are_pinned():
+    # each subcommand's option strings, in parser order; adding or retiring
+    # a knob is an edit to this list
+    solver = ["--method", "--restarts", "--seed"]
+    pinned = {
+        "gen": ["--kind", "--n", "--d", "--k", "--noise", "--seed", "--out"],
+        "project": ["--in", "--t", "--seed", "--map-out", "--out"],
+        "solve": ["--in", "--problem", "--k", "--z", *solver, "--out"],
+        "coreset": ["--in", "--problem", "--k", "--z", "--m", "--t", "--eps", "--const",
+                    "--trials", *solver, "--out"],
+        "preserve": ["--problem", "--n", "--d", "--k", "--z", "--eps", "--t", "--t-list",
+                     "--const", "--trials", *solver, "--out", "--plot"],
+        "counterexample": ["--which", "--n", "--t", "--trials", "--seed", "--out"],
+    }
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(pinned)
+    for name, parser in sub.choices.items():
+        options = [s for a in parser._actions for s in a.option_strings]
+        assert options == ["-h", "--help", *pinned[name]], name

@@ -79,6 +79,21 @@ def test_css_cost_zero_rows():
     assert css_cost(x) == pytest.approx(naive_css_cost(x), rel=1e-9)
 
 
+@pytest.mark.parametrize("kernel", [medoid_cost, css_cost])
+@pytest.mark.parametrize("points, message", [
+    (np.ones(3), "points must be a 2-d array, got shape (3,)"),
+    (np.ones((0, 3)), "points must be non-empty, got shape (0, 3)"),
+    (np.ones((3, 0)), "points must be non-empty, got shape (3, 0)"),
+    ([[1.0, 2.0], [np.nan, 0.0]], "points must contain only finite values"),
+    ([[1.0, np.inf], [0.0, 0.0]], "points must contain only finite values"),
+    ([[1.0, -np.inf], [0.0, 0.0]], "points must contain only finite values"),
+])
+def test_cost_kernels_refuse_malformed_points(kernel, points, message):
+    with pytest.raises(ValueError) as err:
+        kernel(points)
+    assert str(err.value) == message
+
+
 def test_generators_reject_tiny_n():
     with pytest.raises(ValueError):
         gen_medoid_instance(1)

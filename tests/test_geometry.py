@@ -88,24 +88,24 @@ _FLAT = Flat(Subspace([[1.0, 0.0]]), [0.0, 0.0])
     (lambda _: Line.through([1.0, 2.0], [1.0, 2.0]), "points must be distinct"),
     (lambda _: LineSet([_LINE, "a line"]), "all entries must be Line instances"),
     (lambda _: jl.JLMap(np.ones(3)), "matrix must be a non-empty 2-d array, got shape (3,)"),
-    (lambda _: jl.apply(jl.identity_map(2), Dataset(np.zeros((2, 3)))),
+    (lambda _: jl.apply(jl.JLMap(np.eye(2)), Dataset(np.zeros((2, 3)))),
      "data dimension 3 != map input dimension 2"),
-    (lambda _: jl.distortion_range(jl.identity_map(2), np.eye(3)),
+    (lambda _: jl.distortion_range(jl.JLMap(np.eye(2)), np.eye(3)),
      "data dimension 3 != map input dimension 2"),
     # a NaN row is refused, not skipped as a pair of no length
-    (lambda _: jl.distortion_range(jl.identity_map(2), [[0, 0], [1, 0], [np.nan, 2], [0, 3]]),
+    (lambda _: jl.distortion_range(jl.JLMap(np.eye(2)), [[0, 0], [1, 0], [np.nan, 2], [0, 3]]),
      "points must contain only finite values"),
-    (lambda _: jl.distortion_range(jl.identity_map(2), np.array([0.0, 1.0])),
+    (lambda _: jl.distortion_range(jl.JLMap(np.eye(2)), np.array([0.0, 1.0])),
      "points must be a 2-d array, got shape (2,)"),
     (lambda _: jl.moment_ratio_samples(2, 0, 10, seed=0), "t and trials must be positive"),
     (lambda _: jl.moment_bound_threshold(2, 0.0), "eps must be positive"),
-    (lambda _: jl.is_subspace_embedding(jl.identity_map(2), Subspace([[1.0, 0.0]]), -0.1),
+    (lambda _: jl.is_subspace_embedding(jl.JLMap(np.eye(2)), Subspace([[1.0, 0.0]]), -0.1),
      "eps must be non-negative"),
-    (lambda _: jl.is_subspace_embedding(jl.identity_map(3), Subspace([[1.0, 0.0]]), 0.1),
+    (lambda _: jl.is_subspace_embedding(jl.JLMap(np.eye(3)), Subspace([[1.0, 0.0]]), 0.1),
      "subspace ambient 2 != map input dimension 3"),
     (lambda _: sensitivity.SensitivityProfile([1.0, np.inf]), "sigma must be finite"),
     (lambda _: sensitivity.event_e4_statistic(
-        Dataset(_E2), CenterSet([[0.0, 0.0]]), jl.identity_map(2), 2,
+        Dataset(_E2), CenterSet([[0.0, 0.0]]), jl.JLMap(np.eye(2)), 2,
         sensitivity.SensitivityProfile([1.0, 1.0, 1.0])),
      "profile length does not match the data"),
 ])

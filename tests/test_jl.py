@@ -7,7 +7,7 @@ import pytest
 from projclust import geometry
 from projclust._rng import rng_stream
 from projclust.jl import (
-    JLMap, sample_jl, identity_map, apply,
+    JLMap, sample_jl, apply,
     moment_ratio_samples, moment_bound_statistic, moment_bound_threshold,
     is_subspace_embedding, distortion_range,
     write_map, read_map,
@@ -68,19 +68,23 @@ def _traced_peak(make):
     return out, peak
 
 
-def test_identity_and_read_maps_keep_the_array_they_build(tmp_path):
-    # each map takes the array it has just made after the same checks: a
+def test_read_map_keeps_the_array_it_builds(tmp_path):
+    # the map takes the array it has just read after the same checks: a
     # copy would make two map-sizes
-    pi, peak = _traced_peak(lambda: identity_map(1500))
-    npt.assert_array_equal(pi.matrix, np.eye(1500))
-    assert not pi.matrix.flags.writeable
-    assert peak < 1.25 * pi.matrix.nbytes
     path = tmp_path / "map.txt"
     write_map(path, sample_jl(40, 20_000, seed=5))
     back, peak = _traced_peak(lambda: read_map(path))
     npt.assert_array_equal(back.matrix, sample_jl(40, 20_000, seed=5).matrix)
     assert back.seed == 5 and not back.matrix.flags.writeable
     assert peak < 1.25 * back.matrix.nbytes
+
+
+def test_read_map_names_its_file(tmp_path):
+    path = tmp_path / "map.txt"
+    path.write_text("# seed x\n1 2\n1.0 0.0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_map(path)
+    assert str(err.value) == f"{path}: seed comment must be an integer, got 'x'"
 
 
 def test_sample_jl_entry_statistics():
@@ -106,11 +110,6 @@ def test_apply_linear_and_shapes():
     npt.assert_array_equal(wout.weights, ws.weights)
     with pytest.raises(ValueError):
         apply(p, rng.normal(size=7))
-
-
-def test_identity_map_is_noop():
-    ds = geometry.Dataset(np.arange(12.0).reshape(4, 3))
-    npt.assert_array_equal(apply(identity_map(3), ds).points, ds.points)
 
 
 def test_squared_ratio_mean_over_seeds():
@@ -146,9 +145,23 @@ def test_moment_bound_statistic_regimes():
         moment_bound_statistic(2, 0.0, t=4, trials=10, seed=0)
 
 
+@pytest.mark.parametrize("refuse", [
+    lambda eps: moment_bound_statistic(2, eps, t=4, trials=10, seed=0),
+    lambda eps: moment_bound_threshold(2, eps),
+    lambda eps: is_subspace_embedding(JLMap(np.eye(2)), geometry.Subspace([[1.0, 0.0]]), eps),
+], ids=["moment_bound_statistic", "moment_bound_threshold", "is_subspace_embedding"])
+def test_eps_must_be_finite(refuse):
+    # as preset_t refuses it; -inf keeps the message of a value below 0
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^eps must be finite, got {eps!r}$"):
+            refuse(eps)
+    with pytest.raises(ValueError, match="^eps must be (positive|non-negative)$"):
+        refuse(-np.inf)
+
+
 def test_subspace_embedding_identity_and_zero():
     r = geometry.Subspace.from_spanning(np.random.default_rng(1).normal(size=(3, 7)))
-    assert is_subspace_embedding(identity_map(7), r, 0.0)
+    assert is_subspace_embedding(JLMap(np.eye(7)), r, 0.0)
     assert not is_subspace_embedding(JLMap(np.zeros((4, 7))), r, 10.0)
 
 
@@ -179,13 +192,13 @@ def test_subspace_embedding_agrees_with_sampled_vectors():
 
 def test_distortion_range():
     pts = geometry.Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
-    lo, hi = distortion_range(identity_map(2), pts)
+    lo, hi = distortion_range(JLMap(np.eye(2)), pts)
     assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
     lo0, hi0 = distortion_range(JLMap(np.zeros((3, 2))), pts)
     assert lo0 == 0.0 and hi0 == 0.0
     for no_pair in (np.zeros((3, 2)), np.ones((1, 2)), np.empty((0, 2))):
         with pytest.raises(ValueError):
-            distortion_range(identity_map(2), no_pair)
+            distortion_range(JLMap(np.eye(2)), no_pair)
 
 
 def test_distortion_range_memory_is_linear_in_n():

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from projclust import geometry
 from projclust.geometry import Dataset, CenterSet, Subspace, Flat, Line, LineSet
-from projclust.jl import sample_jl, identity_map
+from projclust.jl import JLMap, sample_jl
 from projclust.coreset import COVER_FACTOR, _coreset_1d, _sweeps
 from projclust.sensitivity import (
     SensitivityProfile,
@@ -506,7 +506,7 @@ def test_e4_projects_onto_a_subspace_or_flat_without_a_match(monkeypatch):
 def test_e4_refuses_a_solution_of_another_dimension():
     x = Dataset(np.random.default_rng(16).normal(size=(6, 3)))
     prof = SensitivityProfile(np.ones(6))
-    pi = identity_map(3)
+    pi = JLMap(np.eye(3))
     for sol in (CenterSet(np.zeros((2, 2))), Subspace([[1.0, 0.0]]),
                 Flat(Subspace([[1.0, 0.0]]), [0.0, 1.0]),
                 LineSet([Line.canonical([0.0, 0.0], [1.0, 1.0])])):
@@ -525,7 +525,7 @@ def test_e4_identity_map_gives_total():
     x = Dataset(rng.normal(size=(10, 4)))
     c = CenterSet(rng.normal(size=(2, 4)))
     prof = clustering_sensitivity(x, c, 2)
-    stat = event_e4_statistic(x, c, identity_map(4), 2, prof)
+    stat = event_e4_statistic(x, c, JLMap(np.eye(4)), 2, prof)
     assert stat == pytest.approx(prof.total, rel=1e-12)
 
 
