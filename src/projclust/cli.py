@@ -1,9 +1,11 @@
 """Command line driver: generate data, project, solve, sample, run experiments.
 
-The worker pool is the only level of parallelism.  It runs one thread per
-core this process may use, the calling thread counted (the PROJCLUST_THREADS
-environment variable overrides the count), and OpenBLAS runs on one thread
-unless the caller sets OPENBLAS_NUM_THREADS (see the package's ``__init__``).
+The worker pool is the only level of parallelism.  A task list whose tasks
+each sweep at least ``_POOL_MIN_POINTS`` points runs on one thread per core
+this process may use, the calling thread counted; a smaller one runs on the
+calling thread alone.  The PROJCLUST_THREADS environment variable, a positive
+integer, sets the count at every size.  OpenBLAS runs on one thread unless the
+caller sets OPENBLAS_NUM_THREADS (see the package's ``__init__``).
 Every experiment is deterministic given its --seed: work items draw from
 per-index generator streams, and the pool never changes the output ordering,
 so result files are byte-identical across runs and pool sizes.  ``preserve``
@@ -36,27 +38,49 @@ __all__ = ["main", "build_parser", "preset_t"]
 # shared plumbing
 
 
-def _num_threads():
+# The fewest points per task at which a task list runs on more than the
+# calling thread: the smallest power of two at which two threads beat one in
+# wall time on every problem of the README's sweep.  Below it the solver
+# tasks hold the GIL between short numpy calls, and a second thread costs
+# more CPU than it saves wall time.
+_POOL_MIN_POINTS = 4096
+
+
+def _thread_override():
+    """PROJCLUST_THREADS as a positive int, or None when it is unset or empty."""
     raw = os.environ.get("PROJCLUST_THREADS", "")
+    if not raw:
+        return None
     try:
         n = int(raw)
     except ValueError:
         n = 0
-    if n > 0:
+    if n < 1:
+        raise ValueError(f"PROJCLUST_THREADS must be a positive integer, got {raw!r}")
+    return n
+
+
+def _num_threads(points):
+    """The pool width for tasks that each sweep ``points`` points."""
+    n = _thread_override()
+    if n is not None:
         return n
+    if points < _POOL_MIN_POINTS:
+        return 1
     try:            # the cores this process may run on, under taskset or a cpuset
         return len(os.sched_getaffinity(0))
     except AttributeError:      # not every platform has it
         return os.cpu_count() or 1
 
 
-def _run_tasks(worker, tasks):
+def _run_tasks(worker, tasks, points):
     """``[worker(t) for t in tasks]`` on the calling thread and
     ``workers - 1`` more, each taking the next task under one lock, so the
-    results keep the task order whatever the thread count.  After an error no
-    task starts; once the started ones end, the error of the lowest failing
-    task is raised."""
-    workers = min(_num_threads(), max(len(tasks), 1))
+    results keep the task order whatever the thread count.  Each task sweeps
+    ``points`` points, which sets the default width.  After an error no task
+    starts; once the started ones end, the error of the lowest failing task
+    is raised."""
+    workers = min(_num_threads(points), max(len(tasks), 1))
     if workers <= 1:
         return [worker(t) for t in tasks]
     results = [None] * len(tasks)
@@ -79,6 +103,9 @@ def _run_tasks(worker, tasks):
     # Worth its memory: numpy releases the GIL, so counterexample
     # (n = 10^6, t = 3, 10 trials) runs 1.8x faster on 2 cores than on 1
     # (0.94 against 0.54 s, median of 5 whole commands on a 2-vCPU host).
+    # Tasks of fewer than _POOL_MIN_POINTS points get here only when
+    # PROJCLUST_THREADS asks: clustering preserve at n = 2048 ran even in
+    # wall time on 2 threads for a fifth more CPU.
     helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
     for h in helpers:
         h.start()
@@ -324,7 +351,8 @@ def cmd_coreset(args):
                 _safe_ratio(float(rep_pc.cost), float(rep_pf.cost),
                             (_zero_floor(pws, args.z), _zero_floor(pdata, args.z)))]
 
-    probed = _run_tasks(lambda trial: _or_failed(probe, trial), list(range(args.trials)))
+    probed = _run_tasks(lambda trial: _or_failed(probe, trial), list(range(args.trials)),
+                        data.n)
     rows = [row or [args.m, trial, "failed", cost_full, None, None, None]
             for trial, row in enumerate(probed)]
     _write_csv(args.out, ["m", "trial", "status", "cost_full", "cost_coreset",
@@ -375,7 +403,7 @@ def cmd_preserve(args):
 
     # one task list, trial by trial, so that the pool is the only level of
     # parallelism and a trial's data live only while its tasks run
-    solved = _run_tasks(solve_task, list(range(per * trials)))
+    solved = _run_tasks(solve_task, list(range(per * trials)), args.n)
 
     header = ["row", "problem", "n", "d", "k", "z", "t", "trial", "status",
               "method", "cost_original", "cost_projected", "ratio",
@@ -421,7 +449,7 @@ def cmd_counterexample(args):
     which = ["medoid", "css"] if args.which == "both" else [args.which]
     reps = _run_tasks(lambda i: counterexamples.counterexample_trial(
         which[i // args.trials], args.n, args.t, args.seed + i),
-        range(len(which) * args.trials))
+        range(len(which) * args.trials), args.n)
     rows = [[r.which, r.n, r.t, r.seed, r.cost_original, r.cost_projected,
              float(r.ratio)] for r in reps]
     _write_csv(args.out, ["which", "n", "t", "seed", "cost_original",
@@ -614,6 +642,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _thread_override()      # a malformed value is refused before any work
         return args.func(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -47,11 +47,19 @@ class JLMap:
         return f"JLMap(t={self.t}, d={self.d}, seed={self.seed})"
 
 
+def _integer(name, value):
+    """``int(value)``, refused where that would change the value."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return n
+
+
 def _draw(d, t, seed, stream=0):
     """The (t, d) matrix of :func:`sample_jl`, still writable: a fresh
     array for a caller that transforms it in place."""
-    d = int(d)
-    t = int(t)
+    d = _integer("d", d)
+    t = _integer("t", t)
     if d < 1 or t < 1:
         raise ValueError("d and t must be positive")
     rng = rng_stream(seed, stream)
@@ -135,8 +143,8 @@ def moment_ratio_samples(z, t, trials, seed):
     this keeps the cost O(trials) even for very large t.
     """
     z = geometry._check_z(z)
-    t = int(t)
-    trials = int(trials)
+    t = _integer("t", t)
+    trials = _integer("trials", trials)
     if t < 1 or trials < 1:
         raise ValueError("t and trials must be positive")
     rng = rng_stream(seed)
@@ -247,12 +255,12 @@ def read_map(path):
             line = raw.strip()
             if line.startswith("#"):
                 parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "seed":
+                if parts[:1] == ["seed"]:
                     try:
-                        seed = int(parts[1])
+                        seed, = map(int, parts[1:])
                     except ValueError:
                         raise ValueError(f"{path}: seed comment must be an integer, "
-                                         f"got {parts[1]!r}") from None
+                                         f"got {' '.join(parts[1:])!r}") from None
             elif line:
                 break
     return JLMap._own(geometry.read_points(path), seed)

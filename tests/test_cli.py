@@ -664,14 +664,79 @@ def test_lloyd_bits_identical_across_blas_thread_counts():
 
 
 def test_pool_defaults_to_the_usable_cores(monkeypatch):
+    least = cli._POOL_MIN_POINTS
     monkeypatch.delenv("PROJCLUST_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._num_threads(least - 1) == 1     # small tasks stay on the caller
+    assert cli._num_threads(least) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert cli._num_threads() == 1          # pinned to one core, as by taskset
+    assert cli._num_threads(least) == 1     # pinned to one core, as by taskset
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._num_threads() == 8          # a platform without affinity
+    assert cli._num_threads(least) == 8     # a platform without affinity
     monkeypatch.setenv("PROJCLUST_THREADS", "3")
-    assert cli._num_threads() == 3
+    assert cli._num_threads(least - 1) == cli._num_threads(least) == 3
+
+
+def test_an_empty_thread_count_means_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("PROJCLUST_THREADS", "")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._num_threads(cli._POOL_MIN_POINTS - 1) == 1
+    assert cli._num_threads(cli._POOL_MIN_POINTS) == 2
+    assert main(["preserve", "--problem", "clustering", "--n", "20", "--d", "4",
+                 "--t", "2", "--trials", "2", "--out", str(tmp_path / "r.csv")]) == 0
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_a_malformed_thread_count_is_refused_before_any_work(tmp_path, capsys,
+                                                             monkeypatch, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing PROJCLUST_THREADS")
+
+    monkeypatch.setattr(solvers, "solve", no_solve)
+    monkeypatch.setenv("PROJCLUST_THREADS", value)
+    out = tmp_path / "r.csv"
+    assert main(["preserve", "--problem", "clustering", "--n", "20", "--d", "4",
+                 "--t", "2", "--trials", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: PROJCLUST_THREADS must be a positive integer, got {value!r}\n")
+    assert not out.exists()
+
+
+def _started_threads(monkeypatch):
+    """The threads started from now on, recorded by a wrapped ``Thread.start``."""
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def test_small_preserve_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    monkeypatch.delenv("PROJCLUST_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = _started_threads(monkeypatch)
+    assert main(["preserve", "--problem", "clustering", "--n", "2000", "--d", "5",
+                 "--k", "2", "--t-list", "2,3", "--trials", "2", "--restarts", "2",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert started == []
+
+
+def test_counterexample_takes_a_helper_thread_from_the_pool_threshold(
+        tmp_path, monkeypatch):
+    monkeypatch.delenv("PROJCLUST_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = _started_threads(monkeypatch)
+    assert cli._POOL_MIN_POINTS <= 5000
+    for n, helpers in ((cli._POOL_MIN_POINTS - 1, 0), (5000, 1)):
+        started.clear()
+        assert main(["counterexample", "--n", str(n), "--t", "2", "--trials", "2",
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        assert len(started) == helpers
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -682,7 +747,7 @@ def test_run_tasks_keeps_the_task_order(monkeypatch, threads):
         time.sleep(0.001 * (i * 7 % 5))         # tasks end out of order
         return i * i
 
-    assert cli._run_tasks(work, list(range(30))) == [i * i for i in range(30)]
+    assert cli._run_tasks(work, list(range(30)), 0) == [i * i for i in range(30)]
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -701,7 +766,7 @@ def test_run_tasks_raises_the_lowest_failing_tasks_error(monkeypatch, threads):
         return i
 
     with pytest.raises(ValueError, match="task 1"):
-        cli._run_tasks(work, list(range(100)))
+        cli._run_tasks(work, list(range(100)), 0)
     assert len(started) < 100                   # no task starts after an error
 
 
@@ -713,7 +778,7 @@ def test_run_tasks_runs_on_the_caller_and_threads_minus_one_more(monkeypatch, th
         time.sleep(0.002)
         return threading.get_ident()
 
-    idents = set(cli._run_tasks(work, list(range(30))))
+    idents = set(cli._run_tasks(work, list(range(30)), 0))
     assert threading.get_ident() in idents and len(idents) <= threads
 
 
@@ -730,7 +795,7 @@ def test_run_tasks_runs_every_task_once_under_contention(monkeypatch):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = cli._run_tasks(work, list(range(2000)))
+        out = cli._run_tasks(work, list(range(2000)), 0)
     finally:
         sys.setswitchinterval(old)
     assert out == list(range(2000)) and sorted(ran) == out

@@ -37,6 +37,18 @@ def test_sample_jl_deterministic_and_shaped():
         sample_jl(0, 5, seed=1)
 
 
+def test_sample_jl_refuses_a_fractional_t():
+    for d, t, msg in ((10, 2.7, "t must be an integer, got 2.7"),
+                      (10.5, 2, "d must be an integer, got 10.5")):
+        with pytest.raises(ValueError) as err:
+            sample_jl(d, t, seed=0)
+        assert str(err.value) == msg
+    # an integral float or a numpy int draws the map of the int
+    for t in (3.0, np.int32(3), np.float64(3.0)):
+        npt.assert_array_equal(sample_jl(10, t, seed=0).matrix,
+                               sample_jl(10, 3, seed=0).matrix)
+
+
 def test_sampled_matrix_is_owned_and_read_only_and_given_ones_are_copied():
     tracemalloc.start()
     try:
@@ -81,10 +93,11 @@ def test_read_map_keeps_the_array_it_builds(tmp_path):
 
 def test_read_map_names_its_file(tmp_path):
     path = tmp_path / "map.txt"
-    path.write_text("# seed x\n1 2\n1.0 0.0\n", encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        read_map(path)
-    assert str(err.value) == f"{path}: seed comment must be an integer, got 'x'"
+    for comment, got in (("seed x", "x"), ("seed 5 7", "5 7"), ("seed", "")):
+        path.write_text(f"# {comment}\n1 2\n1.0 0.0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_map(path)
+        assert str(err.value) == f"{path}: seed comment must be an integer, got {got!r}"
 
 
 def test_sample_jl_entry_statistics():
@@ -130,6 +143,17 @@ def test_moment_ratio_samples_match_expectation():
     s = moment_ratio_samples(2, t, trials, seed=5)
     se = np.sqrt(2.0 / t) / np.sqrt(trials)
     assert s.mean() == pytest.approx(1.0, abs=4 * se)
+
+
+def test_moment_ratio_samples_refuse_a_fractional_t_or_trials():
+    for t, trials, msg in ((2.9, 3, "t must be an integer, got 2.9"),
+                           (2, 3.5, "trials must be an integer, got 3.5")):
+        with pytest.raises(ValueError) as err:
+            moment_ratio_samples(2, t, trials, seed=0)
+        assert str(err.value) == msg
+    for t, trials in ((2.0, 3.0), (np.int64(2), np.int16(3))):
+        npt.assert_array_equal(moment_ratio_samples(2, t, trials, seed=0),
+                               moment_ratio_samples(2, 2, 3, seed=0))
 
 
 def test_moment_bound_statistic_regimes():
