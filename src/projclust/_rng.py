@@ -9,6 +9,8 @@ still produce identical results.
 
 import numpy as np
 
+from .geometry import _check_count
+
 
 def rng_stream(seed, stream=0):
     """Return the generator for (seed, stream).
@@ -20,11 +22,10 @@ def rng_stream(seed, stream=0):
     stream : int
         Non-negative stream index; trial ``i`` of a multi-trial experiment
         uses stream ``i``.
+
+    An integral float or a numpy int is read as its int; any other value
+    that is not a non-negative integer raises ValueError.
     """
-    seed = int(seed)
-    stream = int(stream)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if stream < 0:
-        raise ValueError("stream index must be non-negative")
+    seed = _check_count("seed", seed, least=0)
+    stream = _check_count("stream", stream, least=0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))

@@ -62,9 +62,7 @@ def sensitivity_sample(data, profile, m, seed, stream=0):
     candidate solution.
     """
     pts = geometry._points_of(data)
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be positive")
+    m = geometry._check_count("m", m)
     if profile.n != pts.shape[0]:
         raise ValueError("profile length does not match the data")
     rng = rng_stream(seed, stream)
@@ -89,9 +87,7 @@ def line_coreset_1d(y, k):
     :func:`line_coreset_klines` requires.
     """
     pts = geometry._points_of(y)
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be positive")
+    k = geometry._check_count("k", k)
     n = pts.shape[0]
     line = _fit_line(pts, np.ones(n))
     groups = _line_groups(pts, LineSet([line]), np.zeros(n, dtype=np.int64))
@@ -163,8 +159,8 @@ def _recurse_1d(order, p, a, b, k, out):
 
 def coreset_size_bound(k, n):
     """A generous ceiling on the size of :func:`line_coreset_1d` output."""
-    if k < 1 or n < 0:
-        raise ValueError("k must be positive and n non-negative")
+    k = geometry._check_count("k", k)
+    n = geometry._check_count("n", n, least=0)
     if n <= 2:
         return n
     if k == 1:
@@ -241,7 +237,7 @@ class PeelingPartition:
     """Disjoint layers covering all indices; layer 1 is the outermost coreset."""
 
     def __init__(self, layers, n):
-        n = int(n)
+        n = geometry._check_count("n", n, least=0)
         layer_index = np.zeros(n, dtype=np.int64)
         clean = []
         seen = 0

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .geometry import Dataset, _as_matrix
+from .geometry import Dataset, _as_matrix, _check_count
 from .jl import _draw, sample_jl
 
 __all__ = [
@@ -45,17 +45,26 @@ _TINY_TOTAL = 2.0 ** -900
 _BLOCK = 2 ** 14
 
 
-def _check_instance(n, cols):
-    """Refuse n < 2, or an (n, cols) float64 matrix above _MAX_INSTANCE_BYTES."""
+def _check_n(n):
+    """``n`` as an int, refused unless it is an integer of at least 2."""
+    n = _check_count("n", n, least=-math.inf)   # n < 2 has its own message
     if n < 2:
         raise ValueError("need at least two points")
-    _check_bytes(f"a dense {n} x {cols} instance", n, cols,
+    return n
+
+
+def _check_instance(n, extra):
+    """``n``, once :func:`_check_n` accepts it and an (n, n + extra) float64
+    matrix is within _MAX_INSTANCE_BYTES."""
+    n = _check_n(n)
+    _check_bytes(f"a dense {n} x {n + extra} instance", n, n + extra,
                  "; counterexample_trial projects it without building it")
+    return n
 
 
 def _check_bytes(what, rows, cols, hint=""):
     """Refuse a (rows, cols) float64 array above _MAX_INSTANCE_BYTES."""
-    nbytes = 8 * int(rows) * int(cols)
+    nbytes = 8 * rows * cols
     if nbytes > _MAX_INSTANCE_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, above the "
                          f"{_MAX_INSTANCE_BYTES}-byte limit{hint}")
@@ -63,7 +72,7 @@ def _check_bytes(what, rows, cols, hint=""):
 
 def gen_medoid_instance(n):
     """The n standard basis vectors of R^n, as a Dataset."""
-    _check_instance(n, n)
+    n = _check_instance(n, 0)
     return Dataset(np.eye(n))
 
 
@@ -72,7 +81,7 @@ def gen_css_instance(n):
 
     Row i is (e_{n+1} + e_i)/sqrt(2); every pair has inner product 1/2.
     """
-    _check_instance(n, n + 1)
+    n = _check_instance(n, 1)
     pts = np.zeros((n, n + 1))
     pts[:, :n] = np.eye(n)
     pts[:, n] = 1.0
@@ -108,19 +117,6 @@ def _pairwise(leaf, lo, hi):
     return _pairwise(leaf, lo, lo + half) + _pairwise(leaf, lo + half, hi)
 
 
-def _checked_t(points):
-    """The (d, n) transpose of ``points``, once they are shown to be a
-    non-empty 2-d array of finite values; refused otherwise with
-    :func:`geometry._as_matrix`'s message for the fault.  A nan or an
-    infinity shows in the min or the max, which read the points in place:
-    np.isfinite would make a temporary an eighth their size."""
-    pts = np.asarray(points, dtype=float)
-    if not (pts.ndim == 2 and pts.size
-            and np.isfinite(np.min(pts)) and np.isfinite(np.max(pts))):
-        _as_matrix(pts)                 # raises
-    return pts.T
-
-
 def medoid_cost(points):
     """min_j sum_i ||x_i - x_j||^2 with the center restricted to the rows.
 
@@ -141,7 +137,7 @@ def medoid_cost(points):
     reads 2.5e-4 relative above the direct sum, and shifted by 1e8 it reads
     3.9 times that sum.
     """
-    xt = _checked_t(points)
+    xt = _as_matrix(points).T
     n = xt.shape[1]
     v = -2.0 * np.sum(xt, axis=1)
     norms_sq, per_center = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
@@ -180,7 +176,7 @@ def css_cost(points):
     and a _BLOCK-byte mask.  Points whose total is below 2^-900 are
     rescaled first, which may copy them once.
     """
-    xt = _checked_t(points)
+    xt = _as_matrix(points).T
     d, n = xt.shape
     width = min(n, _BLOCK)
     flat, norms_sq, quad = np.empty(d * width), np.empty(width), np.empty(width)
@@ -242,9 +238,9 @@ class RatioReport:
 
     def __init__(self, which, n, t, seed, cost_original, cost_projected):
         self.which = which
-        self.n = int(n)
-        self.t = int(t)
-        self.seed = int(seed)
+        self.n = n
+        self.t = t
+        self.seed = seed
         self.cost_original = float(cost_original)
         self.cost_projected = float(cost_projected)
         if self.cost_projected > 0.0:
@@ -268,8 +264,9 @@ def counterexample_trial(which, n, t, seed):
     _BLOCK columns, and they make no BLAS call.  A map above 2^30 bytes is
     refused before it is sampled.
     """
-    if n < 2:
-        raise ValueError("need at least two points")
+    n = _check_n(n)
+    t = _check_count("t", t)
+    seed = _check_count("seed", seed, least=0)
     if which not in ("medoid", "css"):
         raise ValueError(f"unknown instance family: {which!r}")
     d = n if which == "medoid" else n + 1

@@ -28,9 +28,26 @@ def _as_matrix(points, name="points"):
         raise ValueError(f"{name} must be a 2-d array, got shape {pts.shape}")
     if pts.shape[0] < 1 or pts.shape[1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    # a nan or an infinity shows in the min or the max, which read the
+    # points in place: np.isfinite would make a temporary an eighth their size
+    if not (np.isfinite(np.min(pts)) and np.isfinite(np.max(pts))):
         raise ValueError(f"{name} must contain only finite values")
     return pts
+
+
+def _check_count(name, value, least=1):
+    """``int(value)``, once it is shown to be an integer of at least
+    ``least`` (1 or 0): integral floats and numpy ints are read as their
+    int, and a fraction, an infinity, a nan or None is refused."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if n < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
+    return n
 
 
 def _freeze(a):

@@ -32,36 +32,20 @@ class JLMap:
         return pi
 
     def _take(self, m, seed):
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise ValueError(f"matrix must be a non-empty 2-d array, got shape {m.shape}")
-        # a nan or an infinity shows in the min or the max, which read the
-        # matrix in place: np.isfinite would make a temporary an eighth its size
-        if not (np.isfinite(np.min(m)) and np.isfinite(np.max(m))):
-            raise ValueError("matrix must contain only finite values")
-        self.matrix = m
+        self.matrix = geometry._as_matrix(m, "matrix")
         self.matrix.setflags(write=False)
         self.t, self.d = m.shape
-        self.seed = int(seed)
+        self.seed = geometry._check_count("seed", seed, least=0)
 
     def __repr__(self):
         return f"JLMap(t={self.t}, d={self.d}, seed={self.seed})"
 
 
-def _integer(name, value):
-    """``int(value)``, refused where that would change the value."""
-    n = int(value)
-    if n != value:
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return n
-
-
 def _draw(d, t, seed, stream=0):
     """The (t, d) matrix of :func:`sample_jl`, still writable: a fresh
     array for a caller that transforms it in place."""
-    d = _integer("d", d)
-    t = _integer("t", t)
-    if d < 1 or t < 1:
-        raise ValueError("d and t must be positive")
+    d = geometry._check_count("d", d)
+    t = geometry._check_count("t", t)
     rng = rng_stream(seed, stream)
     return rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, d))
 
@@ -93,13 +77,15 @@ def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
     the least t at which the projected problem can be solved; ``const``
     rescales the lead constant.  A k-flat is sized as the (k+1)-subspace of
     the points lifted by a constant.
-    ``eps`` and ``const`` must be finite and positive.
+    ``eps`` and ``const`` must be finite and positive, ``k`` and ``d``
+    positive integers and ``n`` a non-negative one.
     """
     for name, v in (("eps", eps), ("const", const)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {v!r}")
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be positive")
+    k = geometry._check_count("k", k)
+    d = geometry._check_count("d", d)
+    n = geometry._check_count("n", n, least=0)
     geometry._check_z(z)
     # each formula is num / eps^p
     if problem == "clustering":
@@ -124,8 +110,8 @@ def preset_t(problem, k, z, eps, n, d, const=1.0, verbose=False):
     except (OverflowError, ZeroDivisionError):      # eps^p out of the float range
         x = (math.exp(min(math.log(const) + math.log(num) - p * math.log(eps), 709.0))
              if num > 0 else 0.0)
-    t = int(d) if x >= d else max(1, math.ceil(x))
-    least = min(int(d), geometry._least_dimension(problem, k))
+    t = d if x >= d else max(1, math.ceil(x))
+    least = min(d, geometry._least_dimension(problem, k))
     clamp = ""
     if t < least:
         clamp = f", clamped up from {t}: a projected k-{problem} needs t > k"
@@ -143,13 +129,22 @@ def moment_ratio_samples(z, t, trials, seed):
     this keeps the cost O(trials) even for very large t.
     """
     z = geometry._check_z(z)
-    t = _integer("t", t)
-    trials = _integer("trials", trials)
-    if t < 1 or trials < 1:
-        raise ValueError("t and trials must be positive")
+    t = geometry._check_count("t", t)
+    trials = geometry._check_count("trials", trials)
     rng = rng_stream(seed)
     ratio_sq = rng.chisquare(t, size=trials) / t
     return ratio_sq ** (z / 2.0)
+
+
+def _check_eps(eps, zero=False):
+    """``float(eps)``, refused unless it is finite and positive, or zero
+    where ``zero`` allows it."""
+    eps = float(eps)
+    if eps < 0 or (eps == 0 and not zero):
+        raise ValueError("eps must be non-negative" if zero else "eps must be positive")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
+    return eps
 
 
 def moment_bound_statistic(z, eps, t, trials, seed):
@@ -159,11 +154,7 @@ def moment_bound_statistic(z, eps, t, trials, seed):
     expected overshoot falls below ((1 + eps)^z - 1) / 100.  Returns the
     sample mean of the positive part.  ``eps`` must be finite and positive.
     """
-    eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
+    _check_eps(eps)
     samples = moment_ratio_samples(z, t, trials, seed)
     return float(np.mean(np.maximum(samples - 1.0, 0.0)))
 
@@ -172,11 +163,7 @@ def moment_bound_threshold(z, eps):
     """The target value ((1 + eps)^z - 1) / 100 for :func:`moment_bound_statistic`,
     at a finite, positive ``eps``."""
     z = geometry._check_z(z)
-    eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
+    eps = _check_eps(eps)
     return ((1.0 + eps) ** z - 1.0) / 100.0
 
 
@@ -193,11 +180,7 @@ def is_subspace_embedding(pi, subspace, eps):
     extreme length-distortion factors over the subspace.  ``eps`` must be
     finite and non-negative.
     """
-    eps = float(eps)
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
+    eps = _check_eps(eps, zero=True)
     if subspace.d != pi.d:
         raise ValueError(f"subspace ambient {subspace.d} != map input dimension {pi.d}")
     s = np.linalg.svd(pi.matrix @ subspace.basis.T, compute_uv=False)

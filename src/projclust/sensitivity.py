@@ -257,7 +257,5 @@ def event_e4_statistic(data, solution, pi, z, profile):
 def event_e4_bound(k, z):
     """The large-probability ceiling 100 * (k + 1) * 2^z for the statistic."""
     z = geometry._check_z(z)
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be positive")
+    k = geometry._check_count("k", k)
     return 100.0 * (k + 1) * 2.0 ** z

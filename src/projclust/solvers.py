@@ -57,7 +57,7 @@ class SolveReport:
         self.cost = float(cost)
         self.cost_pow = float(cost_pow)
         self.method = str(method)
-        self.restarts = int(restarts)
+        self.restarts = restarts
         self.converged = bool(converged)
 
     def __repr__(self):
@@ -593,8 +593,9 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
     """Solve ``problem`` on ``data``; the one public solver.
 
     ``data`` is a Dataset, WeightedSet or (n, d) array.  Every argument is
-    checked here, before any work: an unknown problem or method, k < 1,
-    z < 1, restarts < 1 or seed < 0 raises ValueError on every path.
+    checked here, before any work: an unknown problem or method, z < 1, a k
+    or restarts that is not a positive integer, or a seed that is not a
+    non-negative one raises ValueError on every path.
     ``method`` matters for clustering and lines only: "exact" enumerates
     partitions (up to the enumerator's n cap), "heuristic" runs local search
     from ``restarts`` starts, and "auto" enumerates only at z = 2 and
@@ -609,16 +610,10 @@ def solve(problem, data, k, z, restarts=20, seed=0, method="auto"):
         raise ValueError(f"unknown problem {problem!r}; expected one of {geometry.PROBLEMS}")
     if method not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown method {method!r}")
-    k = int(k)
     z = geometry._check_z(z)
-    restarts = int(restarts)
-    seed = int(seed)
-    if k < 1:
-        raise ValueError("k must be positive")
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    k = geometry._check_count("k", k)
+    restarts = geometry._check_count("restarts", restarts)
+    seed = geometry._check_count("seed", seed, least=0)
     pts = geometry._points_of(data)
     w = data.weights if isinstance(data, WeightedSet) else np.ones(pts.shape[0])
     if pts.shape[1] < geometry._least_dimension(problem, k):

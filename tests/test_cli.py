@@ -870,8 +870,9 @@ def test_preset_t_values():
 
 def test_preset_t_refuses_k_and_d_below_one():
     for problem in ("clustering", "subspace", "flat", "lines"):
-        for k, d in ((0, 100), (1, 0), (-1, 100)):
-            with pytest.raises(ValueError, match="k and d must be positive"):
+        for k, d, msg in ((0, 100, "k must be positive"), (1, 0, "d must be positive"),
+                          (-1, 100, "k must be positive")):
+            with pytest.raises(ValueError, match=msg):
                 preset_t(problem, k, 2, 0.3, 200, d)
 
 

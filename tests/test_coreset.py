@@ -210,8 +210,9 @@ def test_line_coreset_size_bound():
 
 
 def test_coreset_size_bound_refuses_k_below_one_and_negative_n():
-    for k, n in ((0, 100), (-1, 100), (2, -1)):
-        with pytest.raises(ValueError, match="k must be positive and n non-negative"):
+    for k, n, msg in ((0, 100, "k must be positive"), (-1, 100, "k must be positive"),
+                      (2, -1, "n must be non-negative")):
+        with pytest.raises(ValueError, match=msg):
             coreset_size_bound(k, n)
     assert coreset_size_bound(3, 0) == 0 and coreset_size_bound(1, 100) == 2
 

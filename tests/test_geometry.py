@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projclust import geometry, jl, sensitivity
+from projclust import coreset, counterexamples, geometry, jl, sensitivity
+from projclust._rng import rng_stream
+from projclust.solvers import solve
 from projclust.geometry import (
     Dataset, WeightedSet, CenterSet, Subspace, Flat, Line, LineSet,
     project_subspace, project_flat, project_line,
@@ -61,6 +63,48 @@ _LINE = Line(np.zeros(2), np.array([1.0, 0.0]))
 _FLAT = Flat(Subspace([[1.0, 0.0]]), [0.0, 0.0])
 
 
+_SIX = np.arange(12.0).reshape(6, 2)
+_ON_A_LINE = np.arange(6.0)[:, None]
+# (name, call with that count argument): every count the library reads,
+# each call valid at the count 2; a fraction, an infinity and a nan are
+# refused by name
+_COUNTS = [
+    ("k", lambda v: solve("clustering", _SIX, v, 2)),
+    ("restarts", lambda v: solve("clustering", _SIX, 2, 2, restarts=v)),
+    ("seed", lambda v: solve("clustering", _SIX, 2, 2, seed=v)),
+    ("seed", rng_stream),
+    ("stream", lambda v: rng_stream(0, v)),
+    ("k", lambda v: jl.preset_t("clustering", v, 2, 0.3, 200, 10)),
+    ("d", lambda v: jl.preset_t("clustering", 2, 2, 0.3, 200, v)),
+    ("n", lambda v: jl.preset_t("lines", 2, 2, 0.3, v, 10)),
+    ("seed", lambda v: jl.JLMap(np.eye(2), v)),
+    ("m", lambda v: coreset.sensitivity_sample(
+        _SIX, sensitivity.SensitivityProfile(np.ones(6)), v, 0)),
+    ("k", lambda v: coreset.line_coreset_1d(_ON_A_LINE, v)),
+    ("k", lambda v: coreset.coreset_size_bound(v, 100)),
+    ("n", lambda v: coreset.coreset_size_bound(2, v)),
+    ("n", lambda v: coreset.PeelingPartition([[0], [1]], v)),
+    ("k", lambda v: sensitivity.event_e4_bound(v, 2)),
+    ("n", counterexamples.gen_medoid_instance),
+    ("n", counterexamples.gen_css_instance),
+    ("n", lambda v: counterexamples.counterexample_trial("medoid", v, 2, 0)),
+    ("seed", lambda v: counterexamples.counterexample_trial("css", 4, 2, v)),
+]
+# counts that jl's draw or moment_ratio_samples read, whose fractions
+# tests/test_jl.py pins: an infinity and a nan are refused by name too
+_WHOLE_COUNTS = [
+    ("d", lambda v: jl.sample_jl(v, 2, 0)),
+    ("t", lambda v: jl.sample_jl(10, v, 0)),
+    ("t", lambda v: jl.moment_ratio_samples(2, v, 10, 0)),
+    ("trials", lambda v: jl.moment_ratio_samples(2, 2, v, 0)),
+    ("t", lambda v: counterexamples.counterexample_trial("css", 4, v, 0)),
+]
+_COUNT_ROWS = [(lambda _, call=call, bad=bad: call(bad), f"{name} must be an integer, got {bad}")
+               for counts, bads in ((_COUNTS, (2.5, np.inf, np.nan)),
+                                    (_WHOLE_COUNTS, (np.inf, np.nan)))
+               for name, call in counts for bad in bads]
+
+
 @pytest.mark.parametrize("refused, message", [
     (_read_text("1 2\n1.0 abc\n"), "data.txt: row 0: could not convert string"),
     (_read_text("1 2\n1.0 inf\n"), "data.txt: non-finite values"),
@@ -87,7 +131,7 @@ _FLAT = Flat(Subspace([[1.0, 0.0]]), [0.0, 0.0])
     (lambda _: Line.canonical(np.zeros(2), np.zeros(2)), "direction must be a nonzero finite vector"),
     (lambda _: Line.through([1.0, 2.0], [1.0, 2.0]), "points must be distinct"),
     (lambda _: LineSet([_LINE, "a line"]), "all entries must be Line instances"),
-    (lambda _: jl.JLMap(np.ones(3)), "matrix must be a non-empty 2-d array, got shape (3,)"),
+    (lambda _: jl.JLMap(np.ones(3)), "matrix must be a 2-d array, got shape (3,)"),
     (lambda _: jl.apply(jl.JLMap(np.eye(2)), Dataset(np.zeros((2, 3)))),
      "data dimension 3 != map input dimension 2"),
     (lambda _: jl.distortion_range(jl.JLMap(np.eye(2)), np.eye(3)),
@@ -97,7 +141,7 @@ _FLAT = Flat(Subspace([[1.0, 0.0]]), [0.0, 0.0])
      "points must contain only finite values"),
     (lambda _: jl.distortion_range(jl.JLMap(np.eye(2)), np.array([0.0, 1.0])),
      "points must be a 2-d array, got shape (2,)"),
-    (lambda _: jl.moment_ratio_samples(2, 0, 10, seed=0), "t and trials must be positive"),
+    (lambda _: jl.moment_ratio_samples(2, 0, 10, seed=0), "t must be positive"),
     (lambda _: jl.moment_bound_threshold(2, 0.0), "eps must be positive"),
     (lambda _: jl.is_subspace_embedding(jl.JLMap(np.eye(2)), Subspace([[1.0, 0.0]]), -0.1),
      "eps must be non-negative"),
@@ -108,7 +152,7 @@ _FLAT = Flat(Subspace([[1.0, 0.0]]), [0.0, 0.0])
         Dataset(_E2), CenterSet([[0.0, 0.0]]), jl.JLMap(np.eye(2)), 2,
         sensitivity.SensitivityProfile([1.0, 1.0, 1.0])),
      "profile length does not match the data"),
-])
+] + _COUNT_ROWS)
 def test_refusals_name_their_fault(tmp_path, refused, message):
     with pytest.raises(ValueError) as err:
         refused(tmp_path)

@@ -1180,6 +1180,11 @@ def test_solve_refuses_bad_arguments_on_every_path(problem):
             args = {"k": 2, "z": 2, **kwargs}
             with pytest.raises(ValueError, match=msg):
                 solve(problem, x, args.pop("k"), args.pop("z"), method=method, **args)
+        # an integral float or a numpy int gives the report of the int
+        want = solve(problem, x, 2, 2, method=method, restarts=3, seed=1)
+        for k, restarts, seed in ((2.0, 3.0, 1.0), (np.int64(2), np.int32(3), np.int64(1))):
+            got = solve(problem, x, k, 2, method=method, restarts=restarts, seed=seed)
+            assert (repr(got), got.cost_pow) == (repr(want), want.cost_pow)
 
 
 @st.composite
